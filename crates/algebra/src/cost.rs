@@ -47,7 +47,7 @@ pub fn sequential_runtime(stats: &crate::buchberger::BuchbergerStats) -> Virtual
 mod tests {
     use super::*;
     use crate::buchberger::{buchberger, SelectionStrategy};
-    use crate::inputs::lazard_workload;
+    use crate::inputs::{katsura, lazard_workload};
 
     #[test]
     fn work_cost_is_linear_in_counts() {
@@ -61,6 +61,27 @@ mod tests {
             t.as_ns(),
             10 * NS_PER_COEFF_OP + 100 * NS_PER_MONO_OP + NS_PER_STEP
         );
+    }
+
+    /// The counts are the cost model's spec: a kernel change that alters
+    /// the reduction order fails here on a named count, not as a golden
+    /// diff.
+    #[test]
+    fn katsura4_sugar_work_is_pinned() {
+        let (ring, input) = katsura(4);
+        let (basis, stats) = buchberger(&ring, &input, SelectionStrategy::Sugar);
+        assert_eq!(stats.pairs_processed, 188, "pairs processed");
+        assert_eq!(stats.polys_added, 42, "polys added");
+        assert_eq!(basis.len(), 47, "basis elements");
+        assert_eq!(
+            stats.work,
+            Work {
+                coeff_ops: 150_156,
+                mono_ops: 320_880,
+                steps: 8_371,
+            }
+        );
+        assert_eq!(sequential_runtime(&stats).as_ns(), 7_466_000_000);
     }
 
     #[test]

@@ -45,12 +45,17 @@ impl Monomial {
         self.e.iter().all(|&x| x == 0)
     }
 
-    /// Product of two monomials.
+    /// Product of two monomials. Panics if an exponent overflows.
     pub fn mul(&self, other: &Monomial) -> Monomial {
         let mut e = [0u16; MAX_VARS];
+        // One check per product keeps the exponent loop branch-free.
+        let mut overflow = false;
         for (out, (a, b)) in e.iter_mut().zip(self.e.iter().zip(&other.e)) {
-            *out = a.checked_add(*b).expect("monomial exponent overflow");
+            let (sum, carry) = a.overflowing_add(*b);
+            *out = sum;
+            overflow |= carry;
         }
+        assert!(!overflow, "monomial exponent overflow");
         Monomial { e }
     }
 

@@ -155,31 +155,8 @@ impl<C: Field> GenPoly<C> {
 
     /// `self + other` under `ring`'s order (merge of sorted term lists).
     pub fn add(&self, ring: &Ring, other: &Self) -> Self {
-        let mut out = Vec::with_capacity(self.len() + other.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.terms.len() && j < other.terms.len() {
-            let (a, b) = (self.terms[i], other.terms[j]);
-            match ring.cmp(&a.m, &b.m) {
-                Ordering::Greater => {
-                    out.push(a);
-                    i += 1;
-                }
-                Ordering::Less => {
-                    out.push(b);
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    let c = a.c + b.c;
-                    if !c.is_zero() {
-                        out.push(GenTerm { c, m: a.m });
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&self.terms[i..]);
-        out.extend_from_slice(&other.terms[j..]);
+        let mut out = Vec::new();
+        merge_terms(&self.terms, &other.terms, &mut out, |a, b| ring.cmp(b, a));
         GenPoly { terms: out }
     }
 
@@ -277,6 +254,42 @@ impl<C: Field> GenPoly<C> {
         }
         s
     }
+}
+
+/// Merge term lists `a` and `b`, each sorted so that `first(x, y) ==
+/// Less` puts `x` before `y`, into `out` in the same order: coefficients
+/// of equal monomials add, and terms that cancel drop out.
+pub(crate) fn merge_terms<C: Field>(
+    a: &[GenTerm<C>],
+    b: &[GenTerm<C>],
+    out: &mut Vec<GenTerm<C>>,
+    first: impl Fn(&Monomial, &Monomial) -> Ordering,
+) {
+    out.clear();
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match first(&a[i].m, &b[j].m) {
+            Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                let c = a[i].c + b[j].c;
+                if !c.is_zero() {
+                    out.push(GenTerm { c, m: a[i].m });
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 impl<C: Field> fmt::Debug for GenPoly<C> {

@@ -1,7 +1,9 @@
 //! Property tests of the algebra substrate, driven by the testkit's
 //! domain generators (monomials and GF(32003) polynomials).
 
-use earth_algebra::{Monomial, Order, Ring};
+use earth_algebra::{
+    normal_form, Field, GenPoly, GenTerm, Gf, Monomial, Order, Poly, Rat, Ring, Work,
+};
 use earth_testkit::domain::{monomial, poly_in};
 use earth_testkit::prelude::*;
 
@@ -96,5 +98,103 @@ props! {
             prop_assert_eq!(m.e[v], 0, "exponent outside nvars window");
         }
         prop_assert_eq!(m, Monomial::from_exps(&[m.e[0], m.e[1]]));
+    }
+}
+
+/// The textbook reduction: rebuild the whole remainder on every step.
+/// `normal_form` must match it polynomial for polynomial and count for
+/// count.
+fn reference_normal_form<C: Field>(
+    ring: &Ring,
+    f: &GenPoly<C>,
+    basis: &[GenPoly<C>],
+    work: &mut Work,
+) -> GenPoly<C> {
+    let mut rest = f.clone();
+    let mut out: Vec<GenTerm<C>> = Vec::new();
+    'outer: while !rest.is_zero() {
+        let lt = rest.lead();
+        for g in basis {
+            if g.is_zero() {
+                continue;
+            }
+            work.mono_ops += 1;
+            let gl = g.lead();
+            if gl.m.divides(&lt.m) {
+                let q = gl.m.div(&lt.m).expect("divides");
+                let c = lt.c / gl.c;
+                rest = rest.sub(ring, &g.mul_term(c, &q));
+                work.coeff_ops += g.len() as u64 + 1;
+                work.mono_ops += g.len() as u64;
+                work.steps += 1;
+                continue 'outer;
+            }
+        }
+        out.push(lt);
+        rest = rest.sub(ring, &GenPoly::from_terms(ring, vec![lt]));
+        work.coeff_ops += 1;
+    }
+    GenPoly::from_terms(ring, out)
+}
+
+/// Reduce `f` by both kernels and require equal results and equal work.
+fn assert_kernels_agree<C: Field>(
+    ring: &Ring,
+    f: &GenPoly<C>,
+    basis: &[GenPoly<C>],
+) -> Result<(), String> {
+    let (mut fast, mut slow) = (Work::default(), Work::default());
+    let got = normal_form(ring, f, basis, &mut fast);
+    let want = reference_normal_form(ring, f, basis, &mut slow);
+    if got != want || fast != slow {
+        return Err(format!(
+            "{:?}: normal_form gave {got:?} with {fast:?}, the reference {want:?} with {slow:?}",
+            ring.order
+        ));
+    }
+    Ok(())
+}
+
+/// Re-sort `p`'s terms under `ring` with coefficients mapped by `coeff`.
+fn convert<C: Field>(ring: &Ring, p: &Poly, coeff: impl Fn(u32) -> C) -> GenPoly<C> {
+    let terms = p
+        .terms()
+        .iter()
+        .map(|t| GenTerm {
+            c: coeff(t.c.value()),
+            m: t.m,
+        })
+        .collect();
+    GenPoly::from_terms(ring, terms)
+}
+
+props! {
+    #![config(Config::with_cases(128))]
+
+    #[test]
+    fn geobucket_normal_form_matches_the_reference(
+        f in poly_in(&ring(), 10, 4),
+        basis in collection::vec(poly_in(&ring(), 4, 2), 0..6),
+    ) {
+        // Even positions monic, odd ones as drawn: the basis mixes monic,
+        // non-monic and zero elements.
+        let basis: Vec<Poly> = basis
+            .iter()
+            .enumerate()
+            .map(|(i, g)| if i % 2 == 0 { g.monic() } else { g.clone() })
+            .collect();
+        for order in [Order::Lex, Order::GrLex, Order::GRevLex] {
+            let r = Ring::new(NVARS, order);
+            let f = convert(&r, &f, Gf::new);
+            let basis: Vec<Poly> = basis.iter().map(|g| convert(&r, g, Gf::new)).collect();
+            assert_kernels_agree(&r, &f, &basis)?;
+        }
+        // The generic path over the rationals, with small coefficients so
+        // no intermediate overflows i128.
+        let r = Ring::new(NVARS, Order::Lex);
+        let small = |v: u32| Rat::new(v as i128 % 7 - 3, v as i128 % 3 + 1);
+        let f = convert(&r, &f, small);
+        let basis: Vec<GenPoly<Rat>> = basis.iter().map(|g| convert(&r, g, small)).collect();
+        assert_kernels_agree(&r, &f, &basis)?;
     }
 }

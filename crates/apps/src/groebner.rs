@@ -35,7 +35,8 @@ use earth_algebra::wire;
 use earth_machine::{MachineConfig, NodeId, QueueKind};
 use earth_rt::{ArgsWriter, Ctx, FuncId, Runtime, SlotId, SlotRef, ThreadId, ThreadedFn};
 use earth_sim::{MinEntry, Rng, VirtualDuration, VirtualTime};
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 // ---------------------------------------------------------------------------
 // Local pair queue
@@ -57,12 +58,15 @@ struct ManagerState {
 struct GrobNode {
     ring: Ring,
     strategy: SelectionStrategy,
-    /// Read cache of the solution set, indexed by global polynomial id.
-    cache: Vec<Option<Poly>>,
+    /// Read cache of the solution set: the contiguous prefix of ids
+    /// `0..basis.len()`, the basis every reduction runs against.
+    basis: Vec<Poly>,
+    /// Polynomials that arrived beyond a gap in the prefix, parked until
+    /// the gap fills.
+    beyond_gap: BTreeMap<u32, Poly>,
+    /// Leading monomial and sugar of every arrived id, in either store.
     leads: Vec<Option<Monomial>>,
     sugars: Vec<Option<u64>>,
-    /// Number of leading cache entries present (ids 0..contiguous).
-    contiguous: u32,
     queue: BinaryHeap<LocalPair>,
     /// Pairs referencing ids not yet cached.
     deferred: Vec<(u32, u32)>,
@@ -133,19 +137,34 @@ struct ProtoFns {
 impl GrobNode {
     fn cache_insert(&mut self, id: u32, poly: Poly) {
         let idx = id as usize;
-        if self.cache.len() <= idx {
-            self.cache.resize_with(idx + 1, || None);
-            self.leads.resize_with(idx + 1, || None);
-            self.sugars.resize_with(idx + 1, || None);
+        if self.leads.len() <= idx {
+            self.leads.resize(idx + 1, None);
+            self.sugars.resize(idx + 1, None);
         }
         self.leads[idx] = Some(poly.lead().m);
         self.sugars[idx] = Some(poly.degree() as u64);
-        self.cache[idx] = Some(poly);
-        while (self.contiguous as usize) < self.cache.len()
-            && self.cache[self.contiguous as usize].is_some()
-        {
-            self.contiguous += 1;
+        match idx.cmp(&self.basis.len()) {
+            Ordering::Less => self.basis[idx] = poly,
+            // Only an out-of-order arrival touches the map, so in-order
+            // runs never allocate a node for it.
+            Ordering::Greater => {
+                self.beyond_gap.insert(id, poly);
+            }
+            Ordering::Equal => {
+                self.basis.push(poly);
+                while let Some(next) = self.beyond_gap.remove(&(self.basis.len() as u32)) {
+                    self.basis.push(next);
+                }
+            }
         }
+    }
+
+    /// Cached polynomial `id`, from the prefix or beyond the gap.
+    fn poly(&self, id: u32) -> &Poly {
+        self.basis
+            .get(id as usize)
+            .or_else(|| self.beyond_gap.get(&id))
+            .expect("cached")
     }
 
     /// Queue a pair, deferring it if either poly is not yet cached.
@@ -173,14 +192,6 @@ impl GrobNode {
         for (i, j) in pending {
             self.push_pair(i, j);
         }
-    }
-
-    /// The contiguous known prefix of the basis, for reductions.
-    fn known_basis(&self) -> Vec<Poly> {
-        self.cache[..self.contiguous as usize]
-            .iter()
-            .map(|p| p.clone().expect("contiguous prefix"))
-            .collect()
     }
 }
 
@@ -223,6 +234,11 @@ const SLOT_WAKE: SlotId = SlotId(0);
 const SLOT_STATUS: SlotId = SlotId(1);
 const T_LOOP: ThreadId = ThreadId(1);
 const T_REDUCE: ThreadId = ThreadId(2);
+
+/// Speculation throttle: a worker with this many unresolved speculative
+/// results starts no new reduction. Empirically 1 maximizes speedup on
+/// the Table 2 inputs.
+const SPECULATION_LIMIT: usize = 1;
 
 struct Worker;
 
@@ -269,7 +285,7 @@ impl Worker {
         //    has caught up with the basis count we were granted against.
         let insert_ready = {
             let st: &GrobNode = ctx.user();
-            matches!(st.lock_granted, Some(nb) if st.contiguous >= nb)
+            matches!(st.lock_granted, Some(nb) if st.basis.len() >= nb as usize)
         };
         if insert_ready {
             self.complete_insert(ctx, fns);
@@ -280,16 +296,7 @@ impl Worker {
         // 2. Reduce the best local pair — unless too many speculative
         //    results already await insertion (deep speculation against a
         //    stale basis mostly produces work that collapses later).
-        // Speculation throttle: with more than this many unresolved
-        // speculative results, stop starting new reductions (deep
-        // speculation against a stale basis mostly produces work that
-        // collapses later). Empirically 1 maximizes speedup on the
-        // Table 2 inputs; override with GB_THROTTLE for ablations.
-        let throttle_limit: usize = std::env::var("GB_THROTTLE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        let throttle = ctx.user::<GrobNode>().pending_inserts.len() >= throttle_limit;
+        let throttle = ctx.user::<GrobNode>().pending_inserts.len() >= SPECULATION_LIMIT;
         let pair = if throttle {
             None
         } else {
@@ -354,13 +361,10 @@ impl Worker {
     fn process_pair(&mut self, ctx: &mut Ctx<'_>, fns: ProtoFns, pair: LocalPair) {
         let (nf, w) = {
             let st: &GrobNode = ctx.user();
-            let basis = st.known_basis();
             let (pi, pj) = pair.item;
-            let f = st.cache[pi as usize].as_ref().expect("cached");
-            let g = st.cache[pj as usize].as_ref().expect("cached");
             let mut w = Work::default();
-            let s = s_polynomial(&st.ring, f, g, &mut w);
-            let nf = normal_form(&st.ring, &s, &basis, &mut w);
+            let s = s_polynomial(&st.ring, st.poly(pi), st.poly(pj), &mut w);
+            let nf = normal_form(&st.ring, &s, &st.basis, &mut w);
             (nf, w)
         };
         ctx.compute(work_cost(&w));
@@ -397,9 +401,8 @@ impl Worker {
             match st.pending_inserts.pop_front() {
                 None => Action::NothingLeft,
                 Some(poly) => {
-                    let basis = st.known_basis();
                     let mut w = Work::default();
-                    if earth_algebra::spoly::head_reducible(&poly, &basis, &mut w) {
+                    if earth_algebra::spoly::head_reducible(&poly, &st.basis, &mut w) {
                         Action::RereduceOutsideLock(poly)
                     } else {
                         Action::Insert(poly)
@@ -439,9 +442,8 @@ impl Worker {
                 }
                 let (nf, w) = {
                     let st: &GrobNode = ctx.user();
-                    let basis = st.known_basis();
                     let mut w = Work::default();
-                    let nf = normal_form(&st.ring, &poly, &basis, &mut w);
+                    let nf = normal_form(&st.ring, &poly, &st.basis, &mut w);
                     (nf, w)
                 };
                 ctx.compute(work_cost(&w));
@@ -490,18 +492,19 @@ impl ThreadedFn for AddPoly {
             // results collapse to zero here instead of cycling through
             // the lock.
             let mut prune_work = Work::default();
-            let newcomer = st.cache[self.id as usize].clone().unwrap();
-            let basis = st.known_basis();
+            let pending_inserts = std::mem::take(&mut st.pending_inserts);
+            let newcomer = st.poly(self.id);
+            let mut collapsed = 0;
             let mut still_pending = VecDeque::new();
-            while let Some(pending) = st.pending_inserts.pop_front() {
+            for pending in pending_inserts {
                 if earth_algebra::spoly::head_reducible(
                     &pending,
-                    std::slice::from_ref(&newcomer),
+                    std::slice::from_ref(newcomer),
                     &mut prune_work,
                 ) {
-                    let nf = normal_form(&st.ring, &pending, &basis, &mut prune_work);
+                    let nf = normal_form(&st.ring, &pending, &st.basis, &mut prune_work);
                     if nf.is_zero() {
-                        st.consumed += 1;
+                        collapsed += 1;
                     } else {
                         still_pending.push_back(nf.monic());
                     }
@@ -509,6 +512,7 @@ impl ThreadedFn for AddPoly {
                     still_pending.push_back(pending);
                 }
             }
+            st.consumed += collapsed;
             st.pending_inserts = still_pending;
             let mut grants = Vec::new();
             if self.inserter == me && st.awaiting_own_insert {
@@ -517,10 +521,7 @@ impl ThreadedFn for AddPoly {
                 st.consumed += 1;
                 // Generate this polynomial's critical pairs (locally, with
                 // the same criteria as the sequential algorithm).
-                let leads: Vec<Monomial> = st.cache[..st.contiguous as usize]
-                    .iter()
-                    .map(|p| p.as_ref().unwrap().lead().m)
-                    .collect();
+                let leads: Vec<Monomial> = st.basis.iter().map(|p| p.lead().m).collect();
                 let mut skip_p = 0usize;
                 let mut skip_c = 0usize;
                 let selected = select_new_pairs(&leads, self.id as usize, &mut skip_p, &mut skip_c);
@@ -1310,10 +1311,10 @@ fn run_groebner_inner(
         let mut st = GrobNode {
             ring: ring.clone(),
             strategy,
-            cache: Vec::new(),
+            basis: Vec::new(),
+            beyond_gap: BTreeMap::new(),
             leads: Vec::new(),
             sugars: Vec::new(),
-            contiguous: 0,
             queue: BinaryHeap::new(),
             deferred: Vec::new(),
             pending_inserts: VecDeque::new(),
@@ -1383,7 +1384,7 @@ fn run_groebner_inner(
                 "\nn{w}: parked={} q={} defer={} pend={} lockreq={} granted={:?} await_own={} created={} consumed={} contig={} stop={}",
                 st.parked, st.queue.len(), st.deferred.len(), st.pending_inserts.len(),
                 st.lock_requested, st.lock_granted, st.awaiting_own_insert,
-                st.created, st.consumed, st.contiguous, st.stop,
+                st.created, st.consumed, st.basis.len(), st.stop,
             ));
             if let Some(m) = &st.mgr {
                 dump.push_str(&format!(" MGR held={:?} queue={:?} count={}", m.lock_held_by, m.lock_queue, m.basis_count));
@@ -1397,7 +1398,7 @@ fn run_groebner_inner(
     let pairs_reduced = (0..workers)
         .map(|w| rt.state::<GrobNode>(NodeId(w)).reductions)
         .sum();
-    let basis = rt.state::<GrobNode>(NodeId(0)).known_basis();
+    let basis = rt.state::<GrobNode>(NodeId(0)).basis.clone();
     let diag = want_diag.then(|| {
         let mut parts = Vec::new();
         for w in 0..workers {

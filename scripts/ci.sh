@@ -33,6 +33,9 @@ echo "== perf-baseline smoke (schema check against the committed BENCH json) =="
 cargo run --release --offline -p earth-bench --bin repro -- \
     bench --smoke --check-schema BENCH_2026-08-07.json >/dev/null
 
+echo "== benchmark self-test (Groebner, eigen and NN output checks end to end) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== event-queue equivalence (ladder vs reference heap) =="
 cargo test -q --offline -p earth-sim --test queue_diff
 cargo test -q --offline --test ladder_apps
