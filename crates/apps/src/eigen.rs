@@ -290,48 +290,10 @@ pub fn run_eigen_profiled(
     run_eigen_inner(matrix, tol, MachineConfig::manna(nodes), seed, mode, true)
 }
 
-/// Like [`run_eigen`] under a fault-injection plan: the reliability layer
-/// retransmits around drops and suppresses duplicates, so the computed
-/// eigenvalues are bit-identical to the fault-free run's — only virtual
-/// time (and the report's fault counters) degrade.
-pub fn run_eigen_faulted(
-    matrix: &SymTridiagonal,
-    tol: f64,
-    nodes: u16,
-    seed: u64,
-    mode: FetchMode,
-    plan: &earth_machine::FaultPlan,
-) -> EigenRun {
-    let cfg = MachineConfig::manna(nodes).with_faults(plan.clone());
-    run_eigen_inner(matrix, tol, cfg, seed, mode, false)
-}
-
-/// Like [`run_eigen`] with node `crash_node` crash-stopped at `down` and
-/// — when `up` is given — restarted then; without `up` the failure
-/// detector triggers a failover restart at the detection instant. The
-/// checkpoint/recovery plane replays the lost work, so the computed
-/// eigenvalues are bit-identical to the fault-free run's; only virtual
-/// time (and the report's crash counters) degrade.
-#[allow(clippy::too_many_arguments)]
-pub fn run_eigen_crashed(
-    matrix: &SymTridiagonal,
-    tol: f64,
-    nodes: u16,
-    seed: u64,
-    mode: FetchMode,
-    crash_node: u16,
-    down: VirtualTime,
-    up: Option<VirtualTime>,
-) -> EigenRun {
-    let plan = match up {
-        Some(up) => earth_machine::FaultPlan::new().with_crash_restart(crash_node, down, up),
-        None => earth_machine::FaultPlan::new().with_node_crash(crash_node, down),
-    };
-    run_eigen_faulted(matrix, tol, nodes, seed, mode, &plan)
-}
-
-/// Lowest-level entry: run on a caller-supplied machine configuration
-/// (used by the queue-equivalence differential tests and ablations).
+/// Run on a caller-supplied machine: fault plan, crash schedule, event
+/// queue and interconnect all come from `cfg`. The reliability and
+/// recovery planes keep the eigenvalues bit-identical to the fault-free
+/// run's; only virtual time and the report's counters degrade.
 pub fn run_eigen_on(
     matrix: &SymTridiagonal,
     tol: f64,

@@ -32,7 +32,7 @@ use earth_algebra::monomial::Monomial;
 use earth_algebra::poly::{Poly, Ring};
 use earth_algebra::spoly::{normal_form, s_polynomial, Work};
 use earth_algebra::wire;
-use earth_machine::{MachineConfig, NodeId, QueueKind};
+use earth_machine::{MachineConfig, NodeId};
 use earth_rt::{ArgsWriter, Ctx, FuncId, Runtime, SlotId, SlotRef, ThreadId, ThreadedFn};
 use earth_sim::{MinEntry, Rng, VirtualDuration, VirtualTime};
 use std::cmp::Ordering;
@@ -84,10 +84,6 @@ struct GrobNode {
     pair_seq: u64,
     /// Work accounting for reporting.
     reductions: u64,
-    zero_reductions: u64,
-    parked_at: Option<VirtualTime>,
-    park_total: VirtualDuration,
-    parks: u64,
     /// Manager role (node 0 only).
     mgr: Option<ManagerState>,
     /// Detector role (last node only): per-worker (parked, created,
@@ -197,14 +193,10 @@ impl GrobNode {
 
 /// Wake the worker frame on this node if it is parked.
 fn wake_worker(ctx: &mut Ctx<'_>) {
-    let now = ctx.now();
     let slot = {
         let st = ctx.user_mut::<GrobNode>();
         if st.parked {
             st.parked = false;
-            if let Some(t) = st.parked_at.take() {
-                st.park_total += now.saturating_since(t);
-            }
             st.worker_slot
         } else {
             None
@@ -347,13 +339,7 @@ impl Worker {
             return;
         }
         ctx.init_sync(SLOT_WAKE, 1, 0, T_LOOP);
-        let now = ctx.now();
-        {
-            let st = ctx.user_mut::<GrobNode>();
-            st.parked = true;
-            st.parks += 1;
-            st.parked_at = Some(now);
-        }
+        ctx.user_mut::<GrobNode>().parked = true;
         send_status(ctx, fns);
     }
 
@@ -371,7 +357,6 @@ impl Worker {
         let st = ctx.user_mut::<GrobNode>();
         st.reductions += 1;
         if nf.is_zero() {
-            st.zero_reductions += 1;
             st.consumed += 1;
         } else {
             st.pending_inserts.push_back(nf.monic());
@@ -977,41 +962,31 @@ pub struct GroebnerRun {
     pub pairs_reduced: u64,
     /// Raw runtime report.
     pub report: earth_rt::RunReport,
-    /// Optional diagnostics (filled by [`run_groebner_diag`]).
-    pub diag: Option<String>,
     /// earth-profile data (filled by [`run_groebner_profiled`]).
     pub profile: Option<earth_rt::RunProfile>,
 }
 
-/// Like [`run_groebner`] but also returns a human-readable diagnostic
-/// line (per-worker park time and reduction counts).
-pub fn run_groebner_diag(
-    ring: &Ring,
-    input: &[Poly],
-    nodes: u16,
-    seed: u64,
-    strategy: SelectionStrategy,
-    comm_sync_us: Option<u64>,
-) -> (GroebnerRun, String) {
-    let run = run_groebner_inner(
-        ring,
-        input,
-        nodes,
-        seed,
-        strategy,
-        comm_sync_us,
-        true,
-        false,
-        None,
-        None,
-        None,
-    );
-    let diag = run.diag.clone().unwrap_or_default();
-    (run, diag)
+/// The machine every Gröbner run starts from: `nodes`-node MANNA with
+/// ±3% message-latency jitter, the source of the run-to-run
+/// indeterminism behind Fig. 4b's min/max envelopes. Vary a run by
+/// building on it (`.with_message_passing`, `.with_faults`,
+/// `.with_topology`, ...) and pass the result to [`run_groebner_on`].
+pub fn groebner_machine(nodes: u16) -> MachineConfig {
+    MachineConfig::manna(nodes).with_jitter(0.03)
+}
+
+/// [`groebner_machine`] under the message-passing cost model when
+/// `comm_sync_us` is given.
+fn shorthand_machine(nodes: u16, comm_sync_us: Option<u64>) -> MachineConfig {
+    match comm_sync_us {
+        Some(us) => groebner_machine(nodes).with_message_passing(us),
+        None => groebner_machine(nodes),
+    }
 }
 
 /// Run parallel Buchberger completion over `nodes` simulated nodes (one
-/// reserved for termination detection when `nodes >= 2`).
+/// reserved for termination detection when `nodes >= 2`), with EARTH's
+/// communication costs or, given `comm_sync_us`, message-passing ones.
 pub fn run_groebner(
     ring: &Ring,
     input: &[Poly],
@@ -1023,15 +998,10 @@ pub fn run_groebner(
     run_groebner_inner(
         ring,
         input,
-        nodes,
+        shorthand_machine(nodes, comm_sync_us),
         seed,
         strategy,
-        comm_sync_us,
         false,
-        false,
-        None,
-        None,
-        None,
     )
 }
 
@@ -1048,155 +1018,41 @@ pub fn run_groebner_profiled(
     run_groebner_inner(
         ring,
         input,
-        nodes,
+        shorthand_machine(nodes, comm_sync_us),
         seed,
         strategy,
-        comm_sync_us,
-        false,
         true,
-        None,
-        None,
-        None,
     )
 }
 
-/// Like [`run_groebner`] under a fault-injection plan: the reliability
-/// layer makes every protocol message (locks, basis broadcasts, pair
-/// traffic, termination tokens) exactly-once, so the computed basis is
-/// identical to the fault-free run's — only virtual time degrades.
-pub fn run_groebner_faulted(
+/// Run on a caller-supplied machine, normally one built from
+/// [`groebner_machine`]: fault plan, crash schedule, event queue and
+/// interconnect all come from `cfg`. The reliability and recovery
+/// planes make every protocol message exactly-once and replay lost
+/// work, so the computed basis is identical to the fault-free run's;
+/// only virtual time degrades.
+pub fn run_groebner_on(
     ring: &Ring,
     input: &[Poly],
-    nodes: u16,
+    cfg: MachineConfig,
     seed: u64,
     strategy: SelectionStrategy,
-    plan: &earth_machine::FaultPlan,
 ) -> GroebnerRun {
-    run_groebner_inner(
-        ring,
-        input,
-        nodes,
-        seed,
-        strategy,
-        None,
-        false,
-        false,
-        Some(plan),
-        None,
-        None,
-    )
+    run_groebner_inner(ring, input, cfg, seed, strategy, false)
 }
 
-/// Like [`run_groebner`] with node `crash_node` crash-stopped at `down`
-/// and — when `up` is given — restarted then; without `up` the failure
-/// detector triggers a failover restart at the detection instant. The
-/// checkpoint/recovery plane replays the lost work, so the computed
-/// basis is identical to the fault-free run's; only virtual time
-/// degrades.
-#[allow(clippy::too_many_arguments)]
-pub fn run_groebner_crashed(
-    ring: &Ring,
-    input: &[Poly],
-    nodes: u16,
-    seed: u64,
-    strategy: SelectionStrategy,
-    crash_node: u16,
-    down: VirtualTime,
-    up: Option<VirtualTime>,
-) -> GroebnerRun {
-    let plan = match up {
-        Some(up) => earth_machine::FaultPlan::new().with_crash_restart(crash_node, down, up),
-        None => earth_machine::FaultPlan::new().with_node_crash(crash_node, down),
-    };
-    run_groebner_faulted(ring, input, nodes, seed, strategy, &plan)
-}
-
-/// Like [`run_groebner_faulted`] (pass `plan: None` for a fault-free
-/// run) but pinning the scheduler's event-queue implementation — the
-/// queue-equivalence differential tests run the same workload under both
-/// [`QueueKind`]s and require byte-identical reports.
-pub fn run_groebner_queued(
-    ring: &Ring,
-    input: &[Poly],
-    nodes: u16,
-    seed: u64,
-    strategy: SelectionStrategy,
-    plan: Option<&earth_machine::FaultPlan>,
-    queue: QueueKind,
-) -> GroebnerRun {
-    run_groebner_inner(
-        ring,
-        input,
-        nodes,
-        seed,
-        strategy,
-        None,
-        false,
-        false,
-        plan,
-        Some(queue),
-        None,
-    )
-}
-
-/// Like [`run_groebner`] but wiring the machine with the given
-/// interconnect — the scaling sweeps run the same completion on every
-/// topology. `TopologyKind::Crossbar` is byte-identical to
-/// [`run_groebner`].
-pub fn run_groebner_topo(
-    ring: &Ring,
-    input: &[Poly],
-    nodes: u16,
-    seed: u64,
-    strategy: SelectionStrategy,
-    topo: earth_machine::TopologyKind,
-) -> GroebnerRun {
-    run_groebner_inner(
-        ring,
-        input,
-        nodes,
-        seed,
-        strategy,
-        None,
-        false,
-        false,
-        None,
-        None,
-        Some(topo),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
 fn run_groebner_inner(
     ring: &Ring,
     input: &[Poly],
-    nodes: u16,
+    cfg: MachineConfig,
     seed: u64,
     strategy: SelectionStrategy,
-    comm_sync_us: Option<u64>,
-    want_diag: bool,
     profile: bool,
-    faults: Option<&earth_machine::FaultPlan>,
-    queue: Option<QueueKind>,
-    topo: Option<earth_machine::TopologyKind>,
 ) -> GroebnerRun {
-    assert!(nodes >= 1);
+    let nodes = cfg.nodes;
     let workers: u16 = if nodes == 1 { 1 } else { nodes - 1 };
     let detector: Option<NodeId> = (nodes >= 2).then(|| NodeId(nodes - 1));
 
-    let mut cfg = MachineConfig::manna(nodes).with_jitter(0.03);
-    if let Some(us) = comm_sync_us {
-        cfg = cfg.with_message_passing(us);
-    }
-    if let Some(plan) = faults {
-        cfg = cfg.with_faults(plan.clone());
-    }
-    if let Some(q) = queue {
-        cfg = cfg.with_queue(q);
-    }
-    if let Some(t) = topo {
-        cfg = cfg.with_topology(t);
-    }
     let mut rt = Runtime::new(cfg, seed);
     if profile {
         rt.enable_profile();
@@ -1330,10 +1186,6 @@ fn run_groebner_inner(
             requested_work: false,
             pair_seq: node as u64 * 1_000_003,
             reductions: 0,
-            zero_reductions: 0,
-            parked_at: None,
-            park_total: VirtualDuration::ZERO,
-            parks: 0,
             mgr: (node == 0).then(|| ManagerState {
                 lock_held_by: None,
                 lock_queue: VecDeque::new(),
@@ -1399,24 +1251,12 @@ fn run_groebner_inner(
         .map(|w| rt.state::<GrobNode>(NodeId(w)).reductions)
         .sum();
     let basis = rt.state::<GrobNode>(NodeId(0)).basis.clone();
-    let diag = want_diag.then(|| {
-        let mut parts = Vec::new();
-        for w in 0..workers {
-            let st = rt.state::<GrobNode>(NodeId(w));
-            parts.push(format!(
-                "w{w}: red={} zero={} parks={} park_total={}",
-                st.reductions, st.zero_reductions, st.parks, st.park_total
-            ));
-        }
-        parts.join(" | ")
-    });
     let profile = profile.then(|| rt.take_profile());
     GroebnerRun {
         basis,
         elapsed: done.since(VirtualTime::ZERO),
         pairs_reduced,
         report,
-        diag,
         profile,
     }
 }

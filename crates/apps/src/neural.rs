@@ -511,82 +511,15 @@ pub fn run_neural(
     mode: PassMode,
     shape: CommsShape,
 ) -> NeuralRun {
-    run_neural_shaped(units, units, units, nodes, samples, seed, mode, shape)
-}
-
-/// Run a network with per-layer widths (the paper's §3.3 closing remark:
-/// "the number of units may differ per layer").
-#[allow(clippy::too_many_arguments)]
-pub fn run_neural_shaped(
-    n_in: usize,
-    n_hidden: usize,
-    n_out: usize,
-    nodes: u16,
-    samples: usize,
-    seed: u64,
-    mode: PassMode,
-    shape: CommsShape,
-) -> NeuralRun {
-    run_neural_on(
+    run_neural_inner(
         MachineConfig::manna(nodes),
-        n_in,
-        n_hidden,
-        n_out,
+        [units; 3],
         samples,
         seed,
         mode,
         shape,
+        false,
     )
-}
-
-/// Like [`run_neural`] under a fault-injection plan: the reliability
-/// layer makes the collect/distribute traffic exactly-once, so the
-/// trained weights and outputs are bit-identical to the fault-free
-/// run's — only virtual time degrades.
-pub fn run_neural_faulted(
-    units: usize,
-    nodes: u16,
-    samples: usize,
-    seed: u64,
-    mode: PassMode,
-    shape: CommsShape,
-    plan: &earth_machine::FaultPlan,
-) -> NeuralRun {
-    run_neural_on(
-        MachineConfig::manna(nodes).with_faults(plan.clone()),
-        units,
-        units,
-        units,
-        samples,
-        seed,
-        mode,
-        shape,
-    )
-}
-
-/// Like [`run_neural`] with node `crash_node` crash-stopped at `down`
-/// and — when `up` is given — restarted then; without `up` the failure
-/// detector triggers a failover restart at the detection instant. The
-/// checkpoint/recovery plane replays the lost work, so the trained
-/// weights and outputs are bit-identical to the fault-free run's; only
-/// virtual time degrades.
-#[allow(clippy::too_many_arguments)]
-pub fn run_neural_crashed(
-    units: usize,
-    nodes: u16,
-    samples: usize,
-    seed: u64,
-    mode: PassMode,
-    shape: CommsShape,
-    crash_node: u16,
-    down: VirtualTime,
-    up: Option<VirtualTime>,
-) -> NeuralRun {
-    let plan = match up {
-        Some(up) => earth_machine::FaultPlan::new().with_crash_restart(crash_node, down, up),
-        None => earth_machine::FaultPlan::new().with_node_crash(crash_node, down),
-    };
-    run_neural_faulted(units, nodes, samples, seed, mode, shape, &plan)
 }
 
 /// Like [`run_neural`] with earth-profile collection on; timing is
@@ -601,9 +534,7 @@ pub fn run_neural_profiled(
 ) -> NeuralRun {
     run_neural_inner(
         MachineConfig::manna(nodes),
-        units,
-        units,
-        units,
+        [units; 3],
         samples,
         seed,
         mode,
@@ -612,8 +543,12 @@ pub fn run_neural_profiled(
     )
 }
 
-/// Lowest-level entry: run on a caller-supplied machine configuration
-/// (used by the dual-processor and cost-model ablations).
+/// Run a network with per-layer widths (the paper's §3.3 closing remark:
+/// "the number of units may differ per layer") on a caller-supplied
+/// machine: fault plan, crash schedule, dual processors, event queue
+/// and interconnect all come from `cfg`. The reliability and recovery
+/// planes keep the trained weights and outputs bit-identical to the
+/// fault-free run's; only virtual time degrades.
 #[allow(clippy::too_many_arguments)]
 pub fn run_neural_on(
     cfg: MachineConfig,
@@ -625,17 +560,13 @@ pub fn run_neural_on(
     mode: PassMode,
     shape: CommsShape,
 ) -> NeuralRun {
-    run_neural_inner(
-        cfg, n_in, n_hidden, n_out, samples, seed, mode, shape, false,
-    )
+    let widths = [n_in, n_hidden, n_out];
+    run_neural_inner(cfg, widths, samples, seed, mode, shape, false)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_neural_inner(
     cfg: MachineConfig,
-    n_in: usize,
-    n_hidden: usize,
-    n_out: usize,
+    [n_in, n_hidden, n_out]: [usize; 3],
     samples: usize,
     seed: u64,
     mode: PassMode,
@@ -809,11 +740,11 @@ mod shaped_tests {
     fn rectangular_forward_is_bit_exact() {
         // 12 inputs, 20 hidden, 6 outputs over 5 nodes.
         let (n_in, n_hidden, n_out) = (12, 20, 6);
-        let run = run_neural_shaped(
+        let run = run_neural_on(
+            MachineConfig::manna(5),
             n_in,
             n_hidden,
             n_out,
-            5,
             2,
             13,
             PassMode::Forward,
@@ -836,11 +767,11 @@ mod shaped_tests {
     #[test]
     fn rectangular_backward_tracks_sequential() {
         let (n_in, n_hidden, n_out) = (8, 14, 5);
-        let run = run_neural_shaped(
+        let run = run_neural_on(
+            MachineConfig::manna(4),
             n_in,
             n_hidden,
             n_out,
-            4,
             3,
             21,
             PassMode::ForwardBackward,

@@ -6,7 +6,8 @@
 //!
 //! `--quick` shrinks matrices and seed counts (same shapes, CI speed).
 //! `--json` emits one machine-readable JSON record per experiment
-//! instead of the text tables.
+//! instead of the text tables. An unknown experiment name prints the
+//! valid names to stderr and exits 2.
 //!
 //! `profile` (not part of `all`) runs the earth-profile demo: the
 //! overhead breakdown and utilization timeline for seeded eigenvalue
@@ -60,168 +61,192 @@
 
 use earth_bench::*;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let scale = if quick { Scale::Quick } else { Scale::Paper };
-    let what: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|a| a.as_str())
-        .collect();
-    let all = what.is_empty() || what.contains(&"all");
-    let want = |name: &str| all || what.contains(&name);
+/// The command line, parsed once.
+struct Opts {
+    scale: Scale,
+    json: bool,
+    smoke: bool,
+    /// The file named after `--check-schema`, if any.
+    schema: Option<String>,
+}
 
-    if !json {
-        println!("=== EARTH-MANNA reproduction ({:?} scale) ===\n", scale);
+impl Opts {
+    /// The CI-sized sweep under `--smoke`, else the full one.
+    fn sized<T>(&self, full: fn() -> T, smoke: fn() -> T) -> T {
+        if self.smoke {
+            smoke()
+        } else {
+            full()
+        }
     }
+}
 
-    if want("table1") {
-        let t = table1(scale);
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if want("fig2") {
-        let f = fig2(scale);
-        println!("{}", if json { f.to_json() } else { f.render() });
-    }
-    if want("table2") {
-        let t = table2();
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if want("fig4") {
-        let curves = fig4(scale);
-        if json {
-            println!("{}", groebner_curves_to_json("fig4", &curves));
+/// A result (anything with `render` and `to_json`) as `--json` asks:
+/// its JSON record or its text rendering.
+macro_rules! show {
+    ($o:expr, $result:expr) => {{
+        let r = $result;
+        if $o.json {
+            r.to_json()
         } else {
-            println!(
-                "{}",
-                render_groebner_curves(
-                    "Figure 4: Groebner speedups, EARTH (paper limits: ~9@11 Lazard, ~12@12 K4, ~12.5@14 K5)",
-                    &curves
-                )
-            );
+            r.render()
         }
+    }};
+}
+
+/// One subcommand: `run` returns what it prints. `in_all` subcommands
+/// run under `all` or when no name is given; the rest only when named.
+struct Experiment {
+    name: &'static str,
+    in_all: bool,
+    run: fn(&Opts) -> String,
+}
+
+/// A paper table or figure: runs under `all`.
+const fn paper(name: &'static str, run: fn(&Opts) -> String) -> Experiment {
+    Experiment {
+        name,
+        in_all: true,
+        run,
     }
-    if want("fig5") {
-        let curves = fig5(scale);
-        if json {
-            println!("{}", groebner_curves_to_json("fig5", &curves));
+}
+
+/// An extra sweep or demo: runs only when named.
+const fn extra(name: &'static str, run: fn(&Opts) -> String) -> Experiment {
+    Experiment {
+        name,
+        in_all: false,
+        run,
+    }
+}
+
+/// Every subcommand, in output order.
+const EXPERIMENTS: &[Experiment] = &[
+    paper("table1", |o| show!(o, table1(o.scale))),
+    paper("fig2", |o| show!(o, fig2(o.scale))),
+    paper("table2", |o| show!(o, table2())),
+    paper("fig4", |o| {
+        let title = "Figure 4: Groebner speedups, EARTH (paper limits: ~9@11 Lazard, ~12@12 K4, ~12.5@14 K5)";
+        let curves = fig4(o.scale);
+        if o.json {
+            groebner_curves_to_json("fig4", &curves)
         } else {
-            println!(
-                "{}",
-                render_groebner_curves(
-                    "Figure 5: Groebner speedups under message-passing overheads (paper: EARTH scales, 300-1000us collapse except coarse-grained Katsura-5)",
-                    &curves
-                )
-            );
+            render_groebner_curves(title, &curves)
         }
-    }
-    if want("table3") {
-        let t = table3(scale);
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if want("fig7") {
-        let curves = fig7(scale);
-        if json {
-            println!("{}", neural_curves_to_json("fig7", &curves));
+    }),
+    paper("fig5", |o| {
+        let title = "Figure 5: Groebner speedups under message-passing overheads (paper: EARTH scales, 300-1000us collapse except coarse-grained Katsura-5)";
+        let curves = fig5(o.scale);
+        if o.json {
+            groebner_curves_to_json("fig5", &curves)
         } else {
-            println!(
-                "{}",
-                render_neural_curves(
-                    "Figure 7: NN forward-only speedups (paper: 11@16 for 80u, 17@20 for 200u)",
-                    &curves
-                )
-            );
+            render_groebner_curves(title, &curves)
         }
-    }
-    if want("fig8") {
-        let curves = fig8(scale);
-        if json {
-            println!("{}", neural_curves_to_json("fig8", &curves));
+    }),
+    paper("table3", |o| show!(o, table3(o.scale))),
+    paper("fig7", |o| {
+        let title = "Figure 7: NN forward-only speedups (paper: 11@16 for 80u, 17@20 for 200u)";
+        let curves = fig7(o.scale);
+        if o.json {
+            neural_curves_to_json("fig7", &curves)
         } else {
-            println!(
-                "{}",
-                render_neural_curves(
-                    "Figure 8: NN forward+backward speedups (paper: 10@16 for 80u, 14.5@20 for 200u)",
-                    &curves
-                )
-            );
+            render_neural_curves(title, &curves)
         }
-    }
-    if want("ablation") {
-        let a = comms_ablation(scale);
-        println!("{}", if json { a.to_json() } else { a.render() });
-    }
-    if want("dual") {
-        println!("{}", dual_check(scale).render());
-    }
+    }),
+    paper("fig8", |o| {
+        let title =
+            "Figure 8: NN forward+backward speedups (paper: 10@16 for 80u, 14.5@20 for 200u)";
+        let curves = fig8(o.scale);
+        if o.json {
+            neural_curves_to_json("fig8", &curves)
+        } else {
+            render_neural_curves(title, &curves)
+        }
+    }),
+    paper("ablation", |o| show!(o, comms_ablation(o.scale))),
+    paper("dual", |o| show!(o, dual_check(o.scale))),
     // Deliberately excluded from `all`: the demo's value is its stable,
     // seed-exact output, not paper reproduction.
-    if what.contains(&"profile") {
-        let d = profile_demo();
-        println!("{}", if json { d.to_json() } else { d.render() });
-    }
-    if what.contains(&"faults") {
-        let t = faults_table();
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if what.contains(&"crashes") {
-        let t = crashes_table();
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if what.contains(&"scale") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let t = if smoke { scale_smoke() } else { scale_table() };
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if what.contains(&"traffic") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let t = if smoke {
-            traffic_smoke()
-        } else {
-            traffic_table()
-        };
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if what.contains(&"overload") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let t = if smoke {
-            overload_smoke()
-        } else {
-            overload_table()
-        };
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if what.contains(&"stragglers") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let t = if smoke {
-            stragglers_smoke()
-        } else {
-            stragglers_table()
-        };
-        println!("{}", if json { t.to_json() } else { t.render() });
-    }
-    if what.contains(&"bench") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let doc = sweeps_to_json(&run_sweeps(smoke));
-        if let Some(pos) = args.iter().position(|a| a == "--check-schema") {
-            let path = args
-                .get(pos + 1)
-                .expect("--check-schema needs a file argument");
-            let committed =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-            let want = schema_signature(committed.trim())
-                .unwrap_or_else(|e| panic!("{path} is not valid baseline JSON: {e}"));
-            let got = schema_signature(&doc).expect("emitter produced invalid JSON");
-            if want != got {
-                eprintln!("bench schema drift: {path} does not match the emitter");
-                eprintln!("  committed: {want}");
-                eprintln!("  emitted:   {got}");
-                std::process::exit(1);
-            }
-            eprintln!("bench schema OK against {path}");
+    extra("profile", |o| show!(o, profile_demo())),
+    extra("faults", |o| show!(o, faults_table())),
+    extra("crashes", |o| show!(o, crashes_table())),
+    extra("scale", |o| show!(o, o.sized(scale_table, scale_smoke))),
+    extra("traffic", |o| {
+        show!(o, o.sized(traffic_table, traffic_smoke))
+    }),
+    extra("overload", |o| {
+        show!(o, o.sized(overload_table, overload_smoke))
+    }),
+    extra("stragglers", |o| {
+        show!(o, o.sized(stragglers_table, stragglers_smoke))
+    }),
+    extra("bench", |o| {
+        let doc = sweeps_to_json(&run_sweeps(o.smoke));
+        if let Some(path) = &o.schema {
+            check_schema(path, &doc);
         }
-        println!("{doc}");
+        doc
+    }),
+];
+
+/// Exit nonzero unless the committed baseline at `path` has the same
+/// schema as the freshly emitted `doc`.
+fn check_schema(path: &str, doc: &str) {
+    let committed = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let want = schema_signature(committed.trim())
+        .unwrap_or_else(|e| panic!("{path} is not valid baseline JSON: {e}"));
+    let got = schema_signature(doc).expect("emitter produced invalid JSON");
+    if want != got {
+        eprintln!("bench schema drift: {path} does not match the emitter");
+        eprintln!("  committed: {want}");
+        eprintln!("  emitted:   {got}");
+        std::process::exit(1);
+    }
+    eprintln!("bench schema OK against {path}");
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut names: Vec<&str> = Vec::new();
+    let mut schema = None;
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if a == "--check-schema" {
+            let Some(path) = rest.next() else {
+                eprintln!("repro: --check-schema needs a file argument");
+                std::process::exit(2);
+            };
+            schema = Some(path.clone());
+        } else if !a.starts_with("--") {
+            names.push(a);
+        }
+    }
+    let known = |n: &str| n == "all" || EXPERIMENTS.iter().any(|e| e.name == n);
+    if let Some(bad) = names.iter().find(|n| !known(n)) {
+        let valid: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        eprintln!("repro: unknown experiment `{bad}`");
+        eprintln!("valid names: {} all", valid.join(" "));
+        std::process::exit(2);
+    }
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    let o = Opts {
+        scale: if has("--quick") {
+            Scale::Quick
+        } else {
+            Scale::Paper
+        },
+        json: has("--json"),
+        smoke: has("--smoke"),
+        schema,
+    };
+    let all = names.is_empty() || names.contains(&"all");
+
+    if !o.json {
+        println!("=== EARTH-MANNA reproduction ({:?} scale) ===\n", o.scale);
+    }
+    for e in EXPERIMENTS {
+        if (all && e.in_all) || names.contains(&e.name) {
+            println!("{}", (e.run)(&o));
+        }
     }
 }

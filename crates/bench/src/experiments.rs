@@ -4,10 +4,10 @@ use crate::workloads::*;
 use earth_algebra::buchberger::{buchberger, SelectionStrategy};
 use earth_algebra::inputs::{katsura, table2_inputs};
 use earth_algebra::wire::wire_len;
-use earth_apps::eigen::{
-    run_eigen, run_eigen_faulted, run_eigen_on, run_eigen_profiled, EigenRun, FetchMode,
+use earth_apps::eigen::{run_eigen, run_eigen_on, run_eigen_profiled, EigenRun, FetchMode};
+use earth_apps::groebner::{
+    groebner_machine, run_groebner, run_groebner_on, run_groebner_profiled, GroebnerRun,
 };
-use earth_apps::groebner::{run_groebner, run_groebner_profiled, run_groebner_topo, GroebnerRun};
 use earth_apps::neural::{run_neural, run_neural_on, CommsShape, PassMode};
 use earth_linalg::bisect::bisect_all;
 use earth_linalg::SymTridiagonal;
@@ -658,7 +658,8 @@ pub fn faults_table() -> FaultsTable {
                 .iter()
                 .enumerate()
                 .map(|(ni, &n)| {
-                    let run = run_eigen_faulted(&m, tol, n, seed, FetchMode::Block, &plan);
+                    let cfg = MachineConfig::manna(n).with_faults(plan.clone());
+                    let run = run_eigen_on(&m, tol, cfg, seed, FetchMode::Block);
                     assert_eq!(
                         run.eigenvalues, reference[ni],
                         "drop {drop} on {n} nodes changed the eigenvalues"
@@ -788,7 +789,8 @@ pub fn crashes_table() -> CrashesTable {
                     let plan = FaultPlan::new()
                         .with_node_crash(crash_node, down)
                         .with_checkpoint_every(VirtualDuration::from_us(ck));
-                    let run = run_eigen_faulted(&m, tol, nodes, seed, FetchMode::Block, &plan);
+                    let cfg = MachineConfig::manna(nodes).with_faults(plan);
+                    let run = run_eigen_on(&m, tol, cfg, seed, FetchMode::Block);
                     assert_eq!(
                         run.eigenvalues, reference,
                         "crash at {num}/{den} with {ck}us checkpoints changed the eigenvalues"
@@ -938,7 +940,8 @@ fn scale_at(nodes: &[u16]) -> ScaleTable {
             (run.elapsed, Some(run.eigenvalues))
         }
         1 => {
-            let run = run_groebner_topo(&ring, &input, n, 1, SelectionStrategy::Sugar, topo);
+            let cfg = groebner_machine(n).with_topology(topo);
+            let run = run_groebner_on(&ring, &input, cfg, 1, SelectionStrategy::Sugar);
             (run.elapsed, None)
         }
         _ => {

@@ -426,6 +426,20 @@ impl CommsAblation {
     }
 }
 
+impl DualCheck {
+    /// JSON record: per-sample microseconds on each configuration.
+    pub fn to_json(&self) -> String {
+        let single: Vec<f64> = self.single.iter().map(|d| d.as_us_f64()).collect();
+        let dual: Vec<f64> = self.dual.iter().map(|d| d.as_us_f64()).collect();
+        format!(
+            "{{\"experiment\":\"dual\",\"nodes\":{},\"single_us\":{},\"dual_us\":{}}}",
+            nodes_list(&self.nodes),
+            series(&single),
+            series(&dual)
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,5 +477,9 @@ mod tests {
         let ab = comms_ablation(Scale::Quick);
         assert!(is_balanced_json(&ab.to_json()));
         assert!(ab.to_json().contains("\"tree\""));
+        let dual = dual_check(Scale::Quick).to_json();
+        assert!(is_balanced_json(&dual), "{dual}");
+        assert!(dual.starts_with("{\"experiment\":\"dual\",\"nodes\":["));
+        assert!(dual.contains("\"single_us\":[") && dual.contains("\"dual_us\":["));
     }
 }

@@ -13,6 +13,7 @@
 pub mod chrome;
 pub mod experiments;
 pub mod json;
+mod open_loop;
 pub mod overload_sweep;
 pub mod perf;
 pub mod straggler_sweep;

@@ -13,30 +13,15 @@
 //! deadline (higher goodput and higher attainment among completions).
 //!
 //! The heaviest load is rerun twice more with the full defenses on
-//! under chaos — the repo's standard lossy fault plan, and a mid-stream
-//! node crash + restart — so the sweep shows the control plane holding
-//! its floor while the reliability and recovery planes are busy
-//! underneath it.
-//!
-//! Fixed-seed and independent of `--quick`, like the other fault
-//! sweeps, so `repro overload --json` is a byte-identical, diffable
-//! artifact.
+//! under chaos (see `open_loop.rs`), so the sweep shows the control
+//! plane holding its floor while the reliability and recovery planes
+//! are busy underneath it.
 
-use crate::workloads::par_map;
+use crate::open_loop::{run_open_loop, sojourn_stats, Point, STREAM_SEED};
 use earth_machine::FaultPlan;
-use earth_sim::{VirtualDuration, VirtualTime};
-use earth_traffic::{
-    run_traffic, run_traffic_crashed, run_traffic_faulted, SloSummary, TrafficPlan, TrafficRun,
-};
+use earth_sim::VirtualDuration;
+use earth_traffic::{SloSummary, TrafficPlan, TrafficRun};
 use std::fmt::Write as _;
-
-/// The stream seed every cell shares: across a row (same offered load)
-/// the arrival and deadline fates are identical, so the two variants
-/// differ only in policy, never in luck.
-const STREAM_SEED: u64 = 1997;
-
-/// The runtime seed every cell shares.
-const RT_SEED: u64 = 42;
 
 /// Per-job relative deadline range, microseconds. Sits just above the
 /// uncongested sojourn median, so light load attains almost everything
@@ -58,12 +43,6 @@ const RETRY_CAP_US: u64 = 1_600;
 const BREAKER_WINDOW: u32 = 8;
 const BREAKER_OPEN_AFTER: u32 = 5;
 const BREAKER_PROBE_US: u64 = 400;
-
-/// Crash window for the `defended_crashed` variant: down mid-stream,
-/// restarted while the breaker and shedder are still working the queue.
-const CRASH_NODE: u16 = 3;
-const CRASH_DOWN_NS: u64 = 2_000_000;
-const CRASH_UP_NS: u64 = 6_000_000;
 
 /// One cell: one (variant, offered load) point with its outcome split
 /// and goodput accounting on the fixed machine size.
@@ -134,66 +113,42 @@ fn defended_plan(jobs: u32, load: f64) -> TrafficPlan {
         .with_breaker(BREAKER_WINDOW, BREAKER_OPEN_AFTER, BREAKER_PROBE_US)
 }
 
-fn lossy_plan() -> FaultPlan {
-    FaultPlan::new().with_drop(0.01).with_duplicate(0.005)
-}
-
-fn cell(variant: &'static str, offered: f64, run: TrafficRun) -> OverloadCell {
+fn cell(p: Point, run: TrafficRun) -> OverloadCell {
     let t = run.traffic();
-    let sojourn_ns: Vec<f64> = t.sojourns_us(None).iter().map(|us| us * 1_000.0).collect();
-    let p99_us = earth_testkit::bench::stats(&sojourn_ns).p99_ns / 1_000.0;
     OverloadCell {
-        variant,
-        offered,
+        variant: p.variant,
+        offered: p.x,
         slo: t.slo(None, None),
         queue_rejections: t.queue_rejections,
         breaker_rejections: t.breaker_rejections,
         breaker_opens: t.breaker_opens,
         sheds: t.expirations,
         peak_waiting: t.peak_waiting,
-        p99_us,
+        p99_us: sojourn_stats(&run).p99_ns / 1_000.0,
         makespan: run.report.elapsed,
     }
 }
 
 fn overload_at(jobs: u32, nodes: u16, loads: &[f64]) -> OverloadTable {
-    let grid: Vec<(&'static str, f64)> = loads
+    let grid = loads
         .iter()
-        .flat_map(|&l| [("naive", l), ("defended", l)])
+        .flat_map(|&x| ["naive", "defended"].map(|variant| Point { variant, x, nodes }))
         .collect();
-    let mut cells = par_map(grid, |(variant, load)| {
-        let plan = match variant {
-            "naive" => naive_plan(jobs, load),
-            _ => defended_plan(jobs, load),
+    let plans = |p: Point| {
+        let plan = match p.variant {
+            "naive" => naive_plan(jobs, p.x),
+            _ => defended_plan(jobs, p.x),
         };
-        cell(variant, load, run_traffic(&plan, nodes, RT_SEED))
-    });
-    // Chaos variants: full defenses at the heaviest load, with the
-    // reliability and recovery planes active underneath.
-    let hi_load = *loads.last().unwrap();
-    let hi = defended_plan(jobs, hi_load);
-    cells.push(cell(
-        "defended_lossy",
-        hi_load,
-        run_traffic_faulted(&hi, nodes, RT_SEED, &lossy_plan()),
-    ));
-    cells.push(cell(
-        "defended_crashed",
-        hi_load,
-        run_traffic_crashed(
-            &hi,
-            nodes,
-            RT_SEED,
-            CRASH_NODE,
-            VirtualTime::from_ns(CRASH_DOWN_NS),
-            Some(VirtualTime::from_ns(CRASH_UP_NS)),
-        ),
-    ));
+        (plan, FaultPlan::new())
+    };
+    // Chaos reruns: full defenses at the heaviest load, node 3 crashing
+    // while the breaker and shedder are still working the queue.
+    let chaos = ["defended_lossy", "defended_crashed"];
     OverloadTable {
         jobs,
         nodes,
         loads: loads.to_vec(),
-        cells,
+        cells: run_open_loop(grid, plans, chaos, 3, cell),
     }
 }
 

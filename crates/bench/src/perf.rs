@@ -18,21 +18,17 @@
 //!   against a fresh smoke run, so the file on disk can never drift from
 //!   what the emitter produces.
 
+use crate::open_loop::lossy;
 use earth_algebra::buchberger::SelectionStrategy;
 use earth_algebra::inputs::katsura;
-use earth_apps::eigen::{
-    run_eigen, run_eigen_crashed, run_eigen_faulted, run_eigen_profiled, FetchMode,
-};
-use earth_apps::groebner::{
-    run_groebner, run_groebner_crashed, run_groebner_faulted, run_groebner_profiled,
-    run_groebner_topo,
-};
-use earth_apps::neural::{
-    run_neural, run_neural_crashed, run_neural_faulted, run_neural_profiled, CommsShape, PassMode,
-};
+use earth_apps::eigen::{run_eigen_on, run_eigen_profiled, FetchMode};
+use earth_apps::groebner::{groebner_machine, run_groebner_on, run_groebner_profiled};
+use earth_apps::neural::{run_neural_on, run_neural_profiled, CommsShape, PassMode};
 use earth_linalg::SymTridiagonal;
+use earth_machine::{FaultPlan, MachineConfig, TopologyKind};
 use earth_rt::RunReport;
 use earth_sim::{VirtualDuration, VirtualTime};
+use earth_traffic::{run_traffic, run_traffic_on, TrafficPlan};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -57,13 +53,6 @@ pub struct SweepResult {
 /// Repetitions per sweep at full size; the best (minimum) wall time is
 /// kept, the usual convention for wall-clock baselines.
 const FULL_REPS: usize = 3;
-
-/// The acceptance fault plan used across the repo: 1% drop, 0.5% dup.
-fn lossy_plan() -> earth_machine::FaultPlan {
-    earth_machine::FaultPlan::new()
-        .with_drop(0.01)
-        .with_duplicate(0.005)
-}
 
 fn measure(
     name: &'static str,
@@ -93,6 +82,31 @@ fn measure(
     }
 }
 
+/// Measure one application four ways, pushing the sweeps `names` in
+/// order: clean on `machine`, under [`lossy`] message loss, with node
+/// `crash.0` crash-stopped halfway through the clean run and restarted
+/// `crash.1` later, and profiled.
+fn measure_app(
+    out: &mut Vec<SweepResult>,
+    names: [&'static str; 4],
+    reps: usize,
+    machine: MachineConfig,
+    (crash_node, downtime): (u16, VirtualDuration),
+    run: impl Fn(MachineConfig) -> RunReport,
+    profiled: impl Fn() -> RunReport,
+) {
+    let [clean, faulted, crashed, profiled_name] = names;
+    let n = machine.nodes;
+    out.push(measure(clean, n, reps, || run(machine.clone())));
+    let lossy_cfg = machine.clone().with_faults(lossy(FaultPlan::new()));
+    out.push(measure(faulted, n, reps, || run(lossy_cfg.clone())));
+    let down = VirtualTime::ZERO + run(machine.clone()).elapsed / 2;
+    let crash = FaultPlan::new().with_crash_restart(crash_node, down, down + downtime);
+    let crash_cfg = machine.with_faults(crash);
+    out.push(measure(crashed, n, reps, || run(crash_cfg.clone())));
+    out.push(measure(profiled_name, n, reps, profiled));
+}
+
 /// Run the full baseline sweep set. `smoke` shrinks every workload to CI
 /// size (same sweep names, same schema, one rep) so tests and the CI
 /// schema check stay cheap.
@@ -106,21 +120,15 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
     } else {
         (SymTridiagonal::random_clustered(240, 6, 1997), 1e-6, 20)
     };
-    out.push(measure("eigen", en, reps, || {
-        run_eigen(&m, tol, en, 42, FetchMode::Block).report
-    }));
-    out.push(measure("eigen_faulted", en, reps, || {
-        run_eigen_faulted(&m, tol, en, 42, FetchMode::Block, &lossy_plan()).report
-    }));
-    let clean = run_eigen(&m, tol, en, 42, FetchMode::Block);
-    let down = VirtualTime::ZERO + clean.report.elapsed / 2;
-    let up = down + VirtualDuration::from_us(3_000);
-    out.push(measure("eigen_crashed", en, reps, || {
-        run_eigen_crashed(&m, tol, en, 42, FetchMode::Block, 3, down, Some(up)).report
-    }));
-    out.push(measure("eigen_profiled", en, reps, || {
-        run_eigen_profiled(&m, tol, en, 42, FetchMode::Block).report
-    }));
+    measure_app(
+        &mut out,
+        ["eigen", "eigen_faulted", "eigen_crashed", "eigen_profiled"],
+        reps,
+        MachineConfig::manna(en),
+        (3, VirtualDuration::from_us(3_000)),
+        |cfg| run_eigen_on(&m, tol, cfg, 42, FetchMode::Block).report,
+        || run_eigen_profiled(&m, tol, en, 42, FetchMode::Block).report,
+    );
 
     // -- Groebner basis completion --------------------------------------
     let ((ring, input), gn) = if smoke {
@@ -128,59 +136,39 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
     } else {
         (katsura(4), 20)
     };
-    out.push(measure("groebner", gn, reps, || {
-        run_groebner(&ring, &input, gn, 1, SelectionStrategy::Sugar, None).report
-    }));
-    out.push(measure("groebner_faulted", gn, reps, || {
-        run_groebner_faulted(
-            &ring,
-            &input,
-            gn,
-            1,
-            SelectionStrategy::Sugar,
-            &lossy_plan(),
-        )
-        .report
-    }));
-    let gclean = run_groebner(&ring, &input, gn, 1, SelectionStrategy::Sugar, None);
-    let gdown = VirtualTime::ZERO + gclean.report.elapsed / 2;
-    let gup = gdown + VirtualDuration::from_us(3_000);
-    out.push(measure("groebner_crashed", gn, reps, || {
-        run_groebner_crashed(
-            &ring,
-            &input,
-            gn,
-            1,
-            SelectionStrategy::Sugar,
-            2,
-            gdown,
-            Some(gup),
-        )
-        .report
-    }));
-    out.push(measure("groebner_profiled", gn, reps, || {
-        run_groebner_profiled(&ring, &input, gn, 1, SelectionStrategy::Sugar, None).report
-    }));
+    measure_app(
+        &mut out,
+        [
+            "groebner",
+            "groebner_faulted",
+            "groebner_crashed",
+            "groebner_profiled",
+        ],
+        reps,
+        groebner_machine(gn),
+        (2, VirtualDuration::from_us(3_000)),
+        |cfg| run_groebner_on(&ring, &input, cfg, 1, SelectionStrategy::Sugar).report,
+        || run_groebner_profiled(&ring, &input, gn, 1, SelectionStrategy::Sugar, None).report,
+    );
 
     // -- Neural network training ----------------------------------------
     let (units, samples, nn) = if smoke { (24, 1, 8) } else { (200, 3, 20) };
     let mode = PassMode::ForwardBackward;
     let shape = CommsShape::Tree;
-    out.push(measure("neural", nn, reps, || {
-        run_neural(units, nn, samples, 21, mode, shape).report
-    }));
-    out.push(measure("neural_faulted", nn, reps, || {
-        run_neural_faulted(units, nn, samples, 21, mode, shape, &lossy_plan()).report
-    }));
-    let nclean = run_neural(units, nn, samples, 21, mode, shape);
-    let ndown = VirtualTime::ZERO + nclean.report.elapsed / 2;
-    let nup = ndown + VirtualDuration::from_us(2_000);
-    out.push(measure("neural_crashed", nn, reps, || {
-        run_neural_crashed(units, nn, samples, 21, mode, shape, 5, ndown, Some(nup)).report
-    }));
-    out.push(measure("neural_profiled", nn, reps, || {
-        run_neural_profiled(units, nn, samples, 21, mode, shape).report
-    }));
+    measure_app(
+        &mut out,
+        [
+            "neural",
+            "neural_faulted",
+            "neural_crashed",
+            "neural_profiled",
+        ],
+        reps,
+        MachineConfig::manna(nn),
+        (5, VirtualDuration::from_us(2_000)),
+        |cfg| run_neural_on(cfg, units, units, units, samples, 21, mode, shape).report,
+        || run_neural_profiled(units, nn, samples, 21, mode, shape).report,
+    );
 
     // -- Traffic plane ---------------------------------------------------
     // A 20-node mixed-class open-loop stream at low and high offered
@@ -188,20 +176,22 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
     // the admission front-end, the class bodies, and recovery replay
     // all sit on this wall-clock path.
     let (tjobs, tn) = if smoke { (24, 8) } else { (96, 20) };
-    let t_low = earth_traffic::TrafficPlan::new(11)
+    let t_low = TrafficPlan::new(11)
         .with_jobs(tjobs)
         .with_offered_load(1_000.0);
     let t_high = t_low.clone().with_offered_load(8_000.0);
     out.push(measure("traffic_low", tn, reps, || {
-        earth_traffic::run_traffic(&t_low, tn, 42).report
+        run_traffic(&t_low, tn, 42).report
     }));
     out.push(measure("traffic_high", tn, reps, || {
-        earth_traffic::run_traffic(&t_high, tn, 42).report
+        run_traffic(&t_high, tn, 42).report
     }));
     let tdown = VirtualTime::from_ns(2_000_000);
-    let tup = tdown + VirtualDuration::from_us(3_000);
+    let crash =
+        FaultPlan::new().with_crash_restart(3, tdown, tdown + VirtualDuration::from_us(3_000));
+    let crash_cfg = MachineConfig::manna(tn).with_faults(crash);
     out.push(measure("traffic_crashed", tn, reps, || {
-        earth_traffic::run_traffic_crashed(&t_high, tn, 42, 3, tdown, Some(tup)).report
+        run_traffic_on(&t_high, crash_cfg.clone(), 42).report
     }));
 
     // -- Overload control -------------------------------------------------
@@ -219,7 +209,7 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
         .with_deadline_shedding()
         .with_breaker(8, 5, 400);
     out.push(measure("overload_defended", tn, reps, || {
-        earth_traffic::run_traffic(&t_over, tn, 42).report
+        run_traffic(&t_over, tn, 42).report
     }));
 
     // -- Gray-failure defenses --------------------------------------------
@@ -228,7 +218,7 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
     // first-transmission ack, hedge scheduling on every fresh send, and
     // the quarantine checks on the steal and home-routing paths are the
     // new hot-path work, so a regression there lands on this number.
-    let straggled = earth_machine::FaultPlan::new()
+    let straggled = FaultPlan::new()
         .with_node_slowdown(
             tn / 2,
             VirtualTime::from_ns(50_000),
@@ -239,8 +229,9 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
         .with_hedging(6.0)
         .with_quarantine(VirtualDuration::from_us(20_000))
         .with_speculative_rehoming();
+    let straggled_cfg = MachineConfig::manna(tn).with_faults(straggled);
     out.push(measure("stragglers_defended", tn, reps, || {
-        earth_traffic::run_traffic_faulted(&t_high, tn, 42, &straggled).report
+        run_traffic_on(&t_high, straggled_cfg.clone(), 42).report
     }));
 
     // -- Topology scale points ------------------------------------------
@@ -250,13 +241,14 @@ pub fn run_sweeps(smoke: bool) -> Vec<SweepResult> {
     let (sring, sinput) = if smoke { katsura(3) } else { katsura(4) };
     let sn = 256;
     for (name, kind) in [
-        ("scale_crossbar", earth_machine::TopologyKind::Crossbar),
-        ("scale_hypercube", earth_machine::TopologyKind::Hypercube),
-        ("scale_torus3d", earth_machine::TopologyKind::Torus3D),
-        ("scale_fattree", earth_machine::TopologyKind::fat_tree()),
+        ("scale_crossbar", TopologyKind::Crossbar),
+        ("scale_hypercube", TopologyKind::Hypercube),
+        ("scale_torus3d", TopologyKind::Torus3D),
+        ("scale_fattree", TopologyKind::fat_tree()),
     ] {
+        let cfg = groebner_machine(sn).with_topology(kind);
         out.push(measure(name, sn, reps, || {
-            run_groebner_topo(&sring, &sinput, sn, 1, SelectionStrategy::Sugar, kind).report
+            run_groebner_on(&sring, &sinput, cfg.clone(), 1, SelectionStrategy::Sugar).report
         }));
     }
 

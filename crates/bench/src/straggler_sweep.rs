@@ -14,28 +14,16 @@
 //! holds.
 //!
 //! The grid sweeps slowdown factor × machine size; the heaviest point
-//! is rerun twice more with the defenses on under chaos — the repo's
-//! standard lossy fault plan, and a mid-stream crash + restart of a
-//! *different* node — showing the detector separating fail-slow from
+//! is rerun twice more with the defenses on under chaos (see
+//! `open_loop.rs`), the crash hitting a *different* node than the
+//! stragglers, showing the detector separating fail-slow from
 //! fail-stop while both planes are live.
-//!
-//! Fixed-seed and independent of `--quick`, like the other fault
-//! sweeps, so `repro stragglers --json` is a byte-identical, diffable
-//! artifact.
 
-use crate::workloads::par_map;
+use crate::open_loop::{run_open_loop, sojourn_stats, Point, STREAM_SEED};
 use earth_machine::FaultPlan;
 use earth_sim::{VirtualDuration, VirtualTime};
-use earth_traffic::{run_traffic_faulted, SloSummary, TrafficPlan, TrafficRun};
+use earth_traffic::{SloSummary, TrafficPlan, TrafficRun};
 use std::fmt::Write as _;
-
-/// The stream seed every cell shares: across a row the arrival and
-/// deadline fates are identical, so the variants differ only in
-/// defenses, never in luck.
-const STREAM_SEED: u64 = 1997;
-
-/// The runtime seed every cell shares.
-const RT_SEED: u64 = 42;
 
 /// Offered load, jobs per simulated second. Deliberately uncongested:
 /// with the machine lightly loaded, every lost percentage point of
@@ -67,12 +55,6 @@ const HEDGE_FACTOR: f64 = 6.0;
 /// job spacing, so the half-open probe cycle leaks few jobs back onto
 /// the straggler while it stays slow.
 const QUARANTINE_US: u64 = 20_000;
-
-/// Crash window for the `defended_crashed` variant: a *different* node
-/// fail-stops mid-stream and restarts — the detector must keep the
-/// straggler quarantined (not failed over) while real recovery runs.
-const CRASH_DOWN_NS: u64 = 2_000_000;
-const CRASH_UP_NS: u64 = 6_000_000;
 
 /// One cell: one (variant, slowdown factor, machine size) point with
 /// its goodput and the straggler plane's own accounting.
@@ -170,80 +152,51 @@ fn defended_plan(nodes: u16, factor: f64) -> FaultPlan {
         .with_speculative_rehoming()
 }
 
-fn cell(variant: &'static str, factor: f64, nodes: u16, run: TrafficRun) -> StragglerCell {
-    let t = run.traffic();
-    let sojourn_ns: Vec<f64> = t.sojourns_us(None).iter().map(|us| us * 1_000.0).collect();
-    let p99_us = earth_testkit::bench::stats(&sojourn_ns).p99_ns / 1_000.0;
+fn cell(p: Point, run: TrafficRun) -> StragglerCell {
     let r = &run.report;
     StragglerCell {
-        variant,
-        factor,
-        nodes,
-        slo: t.slo(None, None),
+        variant: p.variant,
+        factor: p.x,
+        nodes: p.nodes,
+        slo: run.traffic().slo(None, None),
         slow_windows: r.total_slow_windows(),
         hedges_sent: r.total_hedges_sent(),
         hedges_won: r.total_hedges_won(),
         quarantines: r.total_quarantines(),
         speculated: r.total_speculated(),
-        p99_us,
+        p99_us: sojourn_stats(&run).p99_ns / 1_000.0,
         makespan: r.elapsed,
     }
 }
 
 fn stragglers_at(jobs: u32, factors: &[f64], node_counts: &[u16]) -> StragglerTable {
-    let grid: Vec<(&'static str, f64, u16)> = factors
+    let grid = factors
         .iter()
-        .flat_map(|&f| {
-            node_counts
-                .iter()
-                .flat_map(move |&n| [("naive", f, n), ("defended", f, n)])
+        .flat_map(|&x| {
+            node_counts.iter().flat_map(move |&nodes| {
+                ["naive", "defended"].map(|variant| Point { variant, x, nodes })
+            })
         })
         .collect();
-    let plan = stream(jobs);
-    let mut cells = par_map(grid, |(variant, factor, nodes)| {
-        let faults = match variant {
-            "naive" => naive_plan(nodes, factor),
-            _ => defended_plan(nodes, factor),
+    let plans = |p: Point| {
+        let faults = match p.variant {
+            "naive" => naive_plan(p.nodes, p.x),
+            _ => defended_plan(p.nodes, p.x),
         };
-        cell(
-            variant,
-            factor,
-            nodes,
-            run_traffic_faulted(&plan, nodes, RT_SEED, &faults),
-        )
-    });
-    // Chaos variants: full defenses at the heaviest point, with the
-    // reliability and recovery planes active underneath. The crash hits
-    // a different node than the straggler — fail-stop and fail-slow at
-    // once, each answered by its own machinery.
-    let hi_f = *factors.last().unwrap();
-    let hi_n = *node_counts.last().unwrap();
-    let lossy = defended_plan(hi_n, hi_f)
-        .with_drop(0.01)
-        .with_duplicate(0.005);
-    cells.push(cell(
-        "defended_lossy",
-        hi_f,
-        hi_n,
-        run_traffic_faulted(&plan, hi_n, RT_SEED, &lossy),
-    ));
-    let crash_node = victims(hi_n).last().unwrap() + 1;
-    let crashed = defended_plan(hi_n, hi_f).with_crash_restart(
-        crash_node,
-        VirtualTime::from_ns(CRASH_DOWN_NS),
-        VirtualTime::from_ns(CRASH_UP_NS),
-    );
-    cells.push(cell(
-        "defended_crashed",
-        hi_f,
-        hi_n,
-        run_traffic_faulted(&plan, hi_n, RT_SEED, &crashed),
-    ));
+        (stream(jobs), faults)
+    };
+    // Chaos reruns: full defenses at the heaviest point. The crash hits
+    // the node after the straggler stripe, so fail-stop and fail-slow
+    // arrive at once, each answered by its own machinery: the detector
+    // must keep the stragglers quarantined (not failed over) while real
+    // recovery runs.
+    let crash_node = victims(*node_counts.last().unwrap()).last().unwrap() + 1;
+    let chaos = ["defended_lossy", "defended_crashed"];
     StragglerTable {
         jobs,
         factors: factors.to_vec(),
         node_counts: node_counts.to_vec(),
-        cells,
+        cells: run_open_loop(grid, plans, chaos, crash_node, cell),
     }
 }
 

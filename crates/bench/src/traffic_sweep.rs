@@ -3,38 +3,19 @@
 //! An offered-load × machine-size grid of open-loop job streams pushed
 //! through the admission/queueing front-end, reporting per-cell
 //! tail-latency digests: aggregate sojourn statistics over every
-//! completed job (via the testkit's nearest-rank [`stats`]) and the
-//! per-class p50/p95/p99 breakdown. The heaviest grid point is rerun
-//! twice more as degradation variants — once under the repo's standard
-//! lossy fault plan and once with a mid-stream node crash + restart —
-//! so the sweep always exercises admission re-homing and recovery
-//! replay, not just the happy path.
-//!
-//! Fixed-seed and independent of `--quick`, like the fault sweeps, so
-//! `repro traffic --json` is a byte-identical, diffable artifact.
+//! completed job (via the testkit's nearest-rank
+//! [`stats`](earth_testkit::bench::stats)) and the per-class
+//! p50/p95/p99 breakdown. The heaviest grid point is rerun twice more
+//! as degradation variants (see `open_loop.rs`), so the sweep always
+//! exercises admission re-homing and recovery replay, not just the
+//! happy path.
 
-use crate::workloads::par_map;
+use crate::open_loop::{run_open_loop, sojourn_stats, Point, STREAM_SEED};
 use earth_machine::FaultPlan;
-use earth_sim::{VirtualDuration, VirtualTime};
-use earth_testkit::bench::{stats, Stats};
-use earth_traffic::{
-    run_traffic, run_traffic_crashed, run_traffic_faulted, ClassSummary, TrafficPlan, TrafficRun,
-};
+use earth_sim::VirtualDuration;
+use earth_testkit::bench::Stats;
+use earth_traffic::{ClassSummary, TrafficPlan, TrafficRun};
 use std::fmt::Write as _;
-
-/// The stream seed every cell shares: within a column (same node count)
-/// the arrival fates are identical, so cells differ only in how the
-/// machine absorbs them.
-const STREAM_SEED: u64 = 1997;
-
-/// The runtime seed every cell shares.
-const RT_SEED: u64 = 42;
-
-/// Crash window for the `crashed` variant: down mid-stream, restarted
-/// while arrivals are still queuing behind the outage.
-const CRASH_NODE: u16 = 3;
-const CRASH_DOWN_NS: u64 = 2_000_000;
-const CRASH_UP_NS: u64 = 6_000_000;
 
 /// One cell of the sweep: one (variant, offered load, machine size)
 /// point with its latency digest.
@@ -80,67 +61,41 @@ pub fn traffic_smoke() -> TrafficTable {
     traffic_at(32, &[1_000.0, 4_000.0], &[8])
 }
 
-fn plan(jobs: u32, load: f64) -> TrafficPlan {
-    TrafficPlan::new(STREAM_SEED)
-        .with_jobs(jobs)
-        .with_offered_load(load)
-}
-
-fn lossy_plan() -> FaultPlan {
-    FaultPlan::new().with_drop(0.01).with_duplicate(0.005)
-}
-
-fn cell(variant: &'static str, offered: f64, nodes: u16, run: TrafficRun) -> TrafficCell {
-    let classes = run.summaries();
-    let t = run.traffic();
-    let sojourn_ns: Vec<f64> = t.sojourns_us(None).iter().map(|us| us * 1_000.0).collect();
+fn cell(p: Point, run: TrafficRun) -> TrafficCell {
     TrafficCell {
-        variant,
-        offered,
-        nodes,
-        completed: t.completed,
+        variant: p.variant,
+        offered: p.x,
+        nodes: p.nodes,
+        completed: run.traffic().completed,
         makespan: run.report.elapsed,
-        sojourn: stats(&sojourn_ns),
-        classes,
+        sojourn: sojourn_stats(&run),
+        classes: run.summaries(),
     }
 }
 
 fn traffic_at(jobs: u32, loads: &[f64], nodes: &[u16]) -> TrafficTable {
-    let grid: Vec<(f64, u16)> = loads
+    let grid = loads
         .iter()
-        .flat_map(|&l| nodes.iter().map(move |&n| (l, n)))
+        .flat_map(|&x| {
+            nodes.iter().map(move |&nodes| Point {
+                variant: "clean",
+                x,
+                nodes,
+            })
+        })
         .collect();
-    let mut cells = par_map(grid, |(load, n)| {
-        cell("clean", load, n, run_traffic(&plan(jobs, load), n, RT_SEED))
-    });
-    // Degradation variants at the heaviest point: highest offered load
-    // on the biggest machine.
-    let (hi_load, hi_n) = (*loads.last().unwrap(), *nodes.last().unwrap());
-    let hi = plan(jobs, hi_load);
-    cells.push(cell(
-        "lossy",
-        hi_load,
-        hi_n,
-        run_traffic_faulted(&hi, hi_n, RT_SEED, &lossy_plan()),
-    ));
-    cells.push(cell(
-        "crashed",
-        hi_load,
-        hi_n,
-        run_traffic_crashed(
-            &hi,
-            hi_n,
-            RT_SEED,
-            CRASH_NODE,
-            VirtualTime::from_ns(CRASH_DOWN_NS),
-            Some(VirtualTime::from_ns(CRASH_UP_NS)),
-        ),
-    ));
+    let plans = |p: Point| {
+        let plan = TrafficPlan::new(STREAM_SEED)
+            .with_jobs(jobs)
+            .with_offered_load(p.x);
+        (plan, FaultPlan::new())
+    };
     TrafficTable {
         jobs,
         loads: loads.to_vec(),
         nodes: nodes.to_vec(),
-        cells,
+        // Node 3 crashes in the `crashed` rerun.
+        cells: run_open_loop(grid, plans, ["lossy", "crashed"], 3, cell),
     }
 }
 

@@ -1,13 +1,26 @@
 //! Golden determinism test for the availability sweep: the same seeded
 //! crash plans must serialise to byte-identical JSON on every
 //! invocation, so `repro crashes --json` is a diffable artifact.
+//!
+//! `golden/crashes.json` pins the record's bytes as `repro` printed
+//! them on x86_64 Linux. Regenerate it, only for a deliberate change of
+//! the record, with
+//! `cargo run --release --offline -p earth-bench --bin repro -- --json crashes > crates/bench/tests/golden/crashes.json`.
 
 use earth_bench::experiments::crashes_table;
+
+/// The record's pinned bytes (plus the trailing newline `repro` prints).
+const GOLDEN: &str = include_str!("golden/crashes.json");
 
 #[test]
 fn crashes_json_is_byte_identical_across_invocations() {
     let a = crashes_table().to_json();
     let b = crashes_table().to_json();
+    assert_eq!(
+        a,
+        GOLDEN.trim_end(),
+        "crashes sweep moved off its pinned bytes"
+    );
     assert_eq!(a, b, "availability sweep must be deterministic");
     assert!(a.starts_with("{\"experiment\":\"crashes\""));
     assert!(a.ends_with('}'));

@@ -1,13 +1,26 @@
 //! Golden determinism test for the fault-plane degradation sweep: the
 //! same seeded plan must serialise to byte-identical JSON on every
 //! invocation, so `repro faults --json` is a diffable artifact.
+//!
+//! `golden/faults.json` pins the record's bytes as `repro` printed them
+//! on x86_64 Linux. Regenerate it, only for a deliberate change of the
+//! record, with
+//! `cargo run --release --offline -p earth-bench --bin repro -- --json faults > crates/bench/tests/golden/faults.json`.
 
 use earth_bench::experiments::faults_table;
+
+/// The record's pinned bytes (plus the trailing newline `repro` prints).
+const GOLDEN: &str = include_str!("golden/faults.json");
 
 #[test]
 fn faults_json_is_byte_identical_across_invocations() {
     let a = faults_table().to_json();
     let b = faults_table().to_json();
+    assert_eq!(
+        a,
+        GOLDEN.trim_end(),
+        "faults sweep moved off its pinned bytes"
+    );
     assert_eq!(a, b, "degradation sweep must be deterministic");
     assert!(a.starts_with("{\"experiment\":\"faults\""));
     assert!(a.ends_with('}'));

@@ -3,15 +3,29 @@
 //! schema landmark plots depend on, and a fully-defended run (deadline
 //! shedding, retries, circuit breaker, all scheduling extra events)
 //! must stay byte-identical across the two event-queue implementations.
+//!
+//! `golden/overload_smoke.json` pins the record's bytes as `repro`
+//! printed them on x86_64 Linux. Since the traffic generator calls `ln`
+//! and `powf`, the fixture also pins that platform's libm. Regenerate
+//! it, only for a deliberate change of the record, with
+//! `cargo run --release --offline -p earth-bench --bin repro -- --json overload --smoke > crates/bench/tests/golden/overload_smoke.json`.
 
 use earth_bench::overload_smoke;
 use earth_machine::{MachineConfig, QueueKind};
 use earth_traffic::{run_traffic_on, TrafficPlan};
 
+/// The record's pinned bytes (plus the trailing newline `repro` prints).
+const GOLDEN: &str = include_str!("golden/overload_smoke.json");
+
 #[test]
 fn overload_json_is_byte_identical_across_invocations() {
     let a = overload_smoke().to_json();
     let b = overload_smoke().to_json();
+    assert_eq!(
+        a,
+        GOLDEN.trim_end(),
+        "overload sweep moved off its pinned bytes"
+    );
     assert_eq!(a, b, "overload sweep must be deterministic");
     assert!(a.starts_with("{\"experiment\":\"overload\""));
     assert!(a.ends_with('}'));

@@ -3,20 +3,34 @@
 //! every application's run report byte-identical to the default path,
 //! so the topology plumbing costs nothing unless a non-default
 //! interconnect is asked for.
+//!
+//! `golden/scale_smoke.json` pins the record's bytes as `repro` printed
+//! them on x86_64 Linux. Since the neural app's sigmoid calls `exp`,
+//! the fixture also pins that platform's libm. Regenerate it, only for
+//! a deliberate change of the record, with
+//! `cargo run --release --offline -p earth-bench --bin repro -- --json scale --smoke > crates/bench/tests/golden/scale_smoke.json`.
 
 use earth_algebra::buchberger::SelectionStrategy;
 use earth_algebra::inputs::katsura;
 use earth_apps::eigen::{run_eigen, run_eigen_on, FetchMode};
-use earth_apps::groebner::{run_groebner, run_groebner_topo};
+use earth_apps::groebner::{groebner_machine, run_groebner, run_groebner_on};
 use earth_apps::neural::{run_neural, run_neural_on, CommsShape, PassMode};
 use earth_bench::experiments::{scale_smoke, scale_topologies};
 use earth_linalg::SymTridiagonal;
 use earth_machine::{MachineConfig, TopologyKind};
 
+/// The record's pinned bytes (plus the trailing newline `repro` prints).
+const GOLDEN: &str = include_str!("golden/scale_smoke.json");
+
 #[test]
 fn scale_json_is_byte_identical_across_invocations() {
     let a = scale_smoke().to_json();
     let b = scale_smoke().to_json();
+    assert_eq!(
+        a,
+        GOLDEN.trim_end(),
+        "scale sweep moved off its pinned bytes"
+    );
     assert_eq!(a, b, "scale sweep must be deterministic");
     assert!(a.starts_with("{\"experiment\":\"scale\""));
     assert!(a.ends_with('}'));
@@ -65,14 +79,8 @@ fn explicit_crossbar_is_provably_free_for_every_app() {
 
     let (ring, input) = katsura(3);
     let gbase = run_groebner(&ring, &input, n, 1, SelectionStrategy::Sugar, None);
-    let gexp = run_groebner_topo(
-        &ring,
-        &input,
-        n,
-        1,
-        SelectionStrategy::Sugar,
-        TopologyKind::Crossbar,
-    );
+    let gcfg = groebner_machine(n).with_topology(TopologyKind::Crossbar);
+    let gexp = run_groebner_on(&ring, &input, gcfg, 1, SelectionStrategy::Sugar);
     assert_eq!(gbase.basis, gexp.basis);
     assert_eq!(gbase.elapsed, gexp.elapsed);
     assert_eq!(format!("{:?}", gbase.report), format!("{:?}", gexp.report));

@@ -4,15 +4,29 @@
 //! byte-identical across the two event-queue implementations — the
 //! admission front-end lives on the scheduler's critical path, so a
 //! queue-kind divergence would surface here first.
+//!
+//! `golden/traffic_smoke.json` pins the record's bytes as `repro`
+//! printed them on x86_64 Linux. Since the traffic generator calls `ln`
+//! and `powf`, the fixture also pins that platform's libm. Regenerate
+//! it, only for a deliberate change of the record, with
+//! `cargo run --release --offline -p earth-bench --bin repro -- --json traffic --smoke > crates/bench/tests/golden/traffic_smoke.json`.
 
 use earth_bench::traffic_smoke;
 use earth_machine::{MachineConfig, QueueKind};
 use earth_traffic::{run_traffic_on, TrafficPlan};
 
+/// The record's pinned bytes (plus the trailing newline `repro` prints).
+const GOLDEN: &str = include_str!("golden/traffic_smoke.json");
+
 #[test]
 fn traffic_json_is_byte_identical_across_invocations() {
     let a = traffic_smoke().to_json();
     let b = traffic_smoke().to_json();
+    assert_eq!(
+        a,
+        GOLDEN.trim_end(),
+        "traffic sweep moved off its pinned bytes"
+    );
     assert_eq!(a, b, "traffic sweep must be deterministic");
     assert!(a.starts_with("{\"experiment\":\"traffic\""));
     assert!(a.ends_with('}'));

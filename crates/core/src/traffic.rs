@@ -186,11 +186,6 @@ pub struct OverloadPolicy {
 }
 
 impl OverloadPolicy {
-    /// True for the all-off policy (the "disabled == absent" case).
-    pub fn is_default(&self) -> bool {
-        *self == OverloadPolicy::default()
-    }
-
     fn validate(&self) {
         if let Some(cap) = self.queue_cap {
             assert!(cap >= 1, "queue cap must admit at least one waiter");

@@ -12,8 +12,9 @@
 //! crash degrades latency only (never job completion), and that the
 //! whole thing replays byte-identically.
 
+use earth_manna::machine::{FaultPlan, MachineConfig};
 use earth_manna::sim::VirtualTime;
-use earth_manna::traffic::{run_traffic, run_traffic_crashed, TrafficPlan};
+use earth_manna::traffic::{run_traffic, run_traffic_on, TrafficPlan};
 
 const NODES: u16 = 16;
 const SEED: u64 = 42;
@@ -27,14 +28,12 @@ fn main() {
     );
 
     let clean = run_traffic(&plan, NODES, SEED);
-    let crashed = run_traffic_crashed(
-        &plan,
-        NODES,
-        SEED,
+    let crash = FaultPlan::new().with_crash_restart(
         3,
         VirtualTime::from_ns(3_000_000),
-        Some(VirtualTime::from_ns(8_000_000)),
+        VirtualTime::from_ns(8_000_000),
     );
+    let crashed = run_traffic_on(&plan, MachineConfig::manna(NODES).with_faults(crash), SEED);
 
     for (label, run) in [("clean", &clean), ("crashed", &crashed)] {
         let t = run.traffic();

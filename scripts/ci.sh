@@ -44,6 +44,7 @@ echo "== topology scale smoke (256 nodes, every app x interconnect, byte-identic
 cargo run --release --offline -p earth-bench --bin repro -- scale --smoke --json > /tmp/scale_smoke_a.json
 cargo run --release --offline -p earth-bench --bin repro -- scale --smoke --json > /tmp/scale_smoke_b.json
 cmp /tmp/scale_smoke_a.json /tmp/scale_smoke_b.json
+cmp /tmp/scale_smoke_a.json crates/bench/tests/golden/scale_smoke.json
 grep -q '"experiment":"scale"' /tmp/scale_smoke_a.json
 grep -q '"topologies":\["crossbar","hypercube","torus3d","fattree"\]' /tmp/scale_smoke_a.json
 
@@ -51,6 +52,7 @@ echo "== traffic smoke (open-loop streams through admission, byte-identical reru
 cargo run --release --offline -p earth-bench --bin repro -- traffic --smoke --json > /tmp/traffic_smoke_a.json
 cargo run --release --offline -p earth-bench --bin repro -- traffic --smoke --json > /tmp/traffic_smoke_b.json
 cmp /tmp/traffic_smoke_a.json /tmp/traffic_smoke_b.json
+cmp /tmp/traffic_smoke_a.json crates/bench/tests/golden/traffic_smoke.json
 grep -q '"experiment":"traffic"' /tmp/traffic_smoke_a.json
 grep -q '"variant":"crashed"' /tmp/traffic_smoke_a.json
 
@@ -58,6 +60,7 @@ echo "== overload smoke (goodput under saturation, defenses off vs on, byte-iden
 cargo run --release --offline -p earth-bench --bin repro -- overload --smoke --json > /tmp/overload_smoke_a.json
 cargo run --release --offline -p earth-bench --bin repro -- overload --smoke --json > /tmp/overload_smoke_b.json
 cmp /tmp/overload_smoke_a.json /tmp/overload_smoke_b.json
+cmp /tmp/overload_smoke_a.json crates/bench/tests/golden/overload_smoke.json
 grep -q '"experiment":"overload"' /tmp/overload_smoke_a.json
 grep -q '"variant":"naive"' /tmp/overload_smoke_a.json
 grep -q '"variant":"defended_crashed"' /tmp/overload_smoke_a.json
@@ -66,10 +69,23 @@ echo "== straggler smoke (gray failure, naive vs defended, byte-identical reruns
 cargo run --release --offline -p earth-bench --bin repro -- stragglers --smoke --json > /tmp/stragglers_smoke_a.json
 cargo run --release --offline -p earth-bench --bin repro -- stragglers --smoke --json > /tmp/stragglers_smoke_b.json
 cmp /tmp/stragglers_smoke_a.json /tmp/stragglers_smoke_b.json
+cmp /tmp/stragglers_smoke_a.json crates/bench/tests/golden/stragglers_smoke.json
 grep -q '"experiment":"stragglers"' /tmp/stragglers_smoke_a.json
 grep -q '"variant":"naive"' /tmp/stragglers_smoke_a.json
 grep -q '"variant":"defended_lossy"' /tmp/stragglers_smoke_a.json
 grep -q '"variant":"defended_crashed"' /tmp/stragglers_smoke_a.json
+
+echo "== fault and crash sweeps (pinned bytes) =="
+cargo run --release --offline -p earth-bench --bin repro -- faults --json > /tmp/faults.json
+cargo run --release --offline -p earth-bench --bin repro -- crashes --json > /tmp/crashes.json
+cmp /tmp/faults.json crates/bench/tests/golden/faults.json
+cmp /tmp/crashes.json crates/bench/tests/golden/crashes.json
+
+echo "== repro rejects unknown experiment names =="
+if cargo run --release --offline -p earth-bench --bin repro -- nosuch 2>/dev/null; then
+    echo "repro nosuch exited 0"
+    exit 1
+fi
 
 echo "== topology scale full (1024 nodes; terminates inside the smoke budget) =="
 cargo run --release --offline -p earth-bench --bin repro -- scale --json > /tmp/scale_full.json

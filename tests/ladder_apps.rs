@@ -9,7 +9,7 @@
 use earth_manna::algebra::buchberger::SelectionStrategy;
 use earth_manna::algebra::inputs::katsura;
 use earth_manna::apps::eigen::{run_eigen_on, FetchMode};
-use earth_manna::apps::groebner::run_groebner_queued;
+use earth_manna::apps::groebner::{groebner_machine, run_groebner_on};
 use earth_manna::apps::neural::{run_neural_on, CommsShape, PassMode};
 use earth_manna::linalg::SymTridiagonal;
 use earth_manna::machine::{FaultPlan, MachineConfig, QueueKind};
@@ -90,24 +90,15 @@ fn eigen_reports_identical_across_queue_kinds_with_crash() {
 fn groebner_reports_identical_across_queue_kinds() {
     let (ring, input) = katsura(3);
     for plan in [None, Some(lossy())] {
-        let heap = run_groebner_queued(
-            &ring,
-            &input,
-            20,
-            1,
-            SelectionStrategy::Sugar,
-            plan.as_ref(),
-            QueueKind::Heap,
-        );
-        let ladder = run_groebner_queued(
-            &ring,
-            &input,
-            20,
-            1,
-            SelectionStrategy::Sugar,
-            plan.as_ref(),
-            QueueKind::Ladder,
-        );
+        let run = |kind| {
+            let mut cfg = groebner_machine(20).with_queue(kind);
+            if let Some(p) = &plan {
+                cfg = cfg.with_faults(p.clone());
+            }
+            run_groebner_on(&ring, &input, cfg, 1, SelectionStrategy::Sugar)
+        };
+        let heap = run(QueueKind::Heap);
+        let ladder = run(QueueKind::Ladder);
         assert_eq!(heap.basis, ladder.basis);
         assert_eq!(
             format!("{:?}", heap.report),
@@ -167,7 +158,8 @@ fn queue_throughput_probe() {
             eigen_best = eigen_best.min(t.elapsed().as_secs_f64() * 1e3);
             assert!(r.report.events > 0);
             let t = std::time::Instant::now();
-            let g = run_groebner_queued(&ring, &input, 20, 1, SelectionStrategy::Sugar, None, kind);
+            let cfg = groebner_machine(20).with_queue(kind);
+            let g = run_groebner_on(&ring, &input, cfg, 1, SelectionStrategy::Sugar);
             grob_best = grob_best.min(t.elapsed().as_secs_f64() * 1e3);
             assert!(g.report.events > 0);
         }

@@ -7,7 +7,7 @@
 
 use earth_manna::machine::{FaultPlan, MachineConfig, QueueKind};
 use earth_manna::sim::{VirtualDuration, VirtualTime};
-use earth_manna::traffic::{run_traffic_faulted, run_traffic_on, TrafficPlan};
+use earth_manna::traffic::{run_traffic_on, TrafficPlan};
 use earth_testkit::domain::{slow_plan, traffic_plan};
 use earth_testkit::prelude::*;
 
@@ -22,8 +22,9 @@ props! {
         plan in traffic_plan(10),
         seed in any::<u64>(),
     ) {
-        let a = run_traffic_faulted(&plan, 8, seed, &faults);
-        let b = run_traffic_faulted(&plan, 8, seed, &faults);
+        let cfg = MachineConfig::manna(8).with_faults(faults);
+        let a = run_traffic_on(&plan, cfg.clone(), seed);
+        let b = run_traffic_on(&plan, cfg, seed);
         prop_assert_eq!(a.report.traffic.as_ref(), b.report.traffic.as_ref());
         prop_assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
     }
@@ -81,7 +82,7 @@ props! {
             .with_drop(drop)
             .with_duplicate(dup)
             .with_rto(VirtualDuration::from_us(100));
-        let run = run_traffic_faulted(&plan, 8, seed, &faults);
+        let run = run_traffic_on(&plan, MachineConfig::manna(8).with_faults(faults), seed);
         let t = run.report.traffic.as_ref().expect("non-trivial plan");
         prop_assert!(t.is_conserved());
         prop_assert_eq!(t.completed, t.arrived, "a job was lost or doubled");
@@ -142,7 +143,7 @@ fn a_slow_but_alive_node_is_never_failover_restarted() {
     let plan = TrafficPlan::new(1997)
         .with_jobs(48)
         .with_offered_load(2_000.0);
-    let run = run_traffic_faulted(&plan, nodes, 42, &faults);
+    let run = run_traffic_on(&plan, MachineConfig::manna(nodes).with_faults(faults), 42);
     let t = run.report.traffic.as_ref().expect("non-trivial plan");
     assert_eq!(t.completed, t.arrived, "stream must still drain");
     assert!(
@@ -183,7 +184,7 @@ fn slowness_alone_never_triggers_recovery() {
     let plan = TrafficPlan::new(1997)
         .with_jobs(48)
         .with_offered_load(2_000.0);
-    let run = run_traffic_faulted(&plan, 8, 42, &faults);
+    let run = run_traffic_on(&plan, MachineConfig::manna(8).with_faults(faults), 42);
     assert_eq!(
         run.report.nodes.iter().map(|n| n.recoveries).sum::<u64>(),
         0,
