@@ -1,9 +1,12 @@
 //! The neural-network application (§3.3): unit parallelism on EARTH.
 //!
 //! The 3-layer fully-connected net is *sliced*: each machine node owns a
-//! contiguous range of hidden units and of output units (weights live in
-//! node-local memory for the whole run — "long-term data ... maintained
-//! per node"). Communication is centralized through node 0, which
+//! contiguous range of hidden units and of output units, and holds only
+//! those units' weights and biases, cut from one seeded net when the run
+//! starts ([`Layer::rows`]). They live in node-local memory for the whole
+//! run ("long-term data ... maintained per node"); no node ever reads
+//! another node's rows, and the crash and slow planes re-home only
+//! tokens. Communication is centralized through node 0, which
 //! collects each layer's activations and distributes the next layer's
 //! input, organized as a binary tree ("in comparison to an earlier
 //! version using sequential communications, speedups increased — for 80
@@ -26,10 +29,11 @@
 
 use earth_machine::{MachineConfig, NodeId};
 use earth_nn::cost::{backward_slice_cost, error_calc_cost, forward_slice_cost};
-use earth_nn::net::{sigmoid_prime, Mlp};
+use earth_nn::net::{sigmoid_prime, Layer, Mlp};
 use earth_nn::slice::{partition, UnitRange};
 use earth_rt::{
-    ArgsReader, ArgsWriter, Ctx, FuncId, GlobalAddr, Runtime, SlotId, SlotRef, ThreadId, ThreadedFn,
+    ArgsReader, ArgsWriter, Ctx, FuncId, GlobalAddr, Payload, Runtime, SlotId, SlotRef, ThreadId,
+    ThreadedFn,
 };
 use earth_sim::{Rng, VirtualDuration, VirtualTime};
 
@@ -70,7 +74,11 @@ fn bytes_to_f32s(b: &[u8]) -> Vec<f32> {
 
 /// Node-local state.
 struct NeuralState {
-    net: Mlp,
+    /// This node's hidden units: local unit `u` is unit
+    /// `hidden_range.lo + u` of the net.
+    hidden: Layer,
+    /// This node's output units, numbered the same way.
+    output: Layer,
     hidden_range: UnitRange,
     output_range: UnitRange,
     /// Last input received (needed for the hidden weight update).
@@ -80,6 +88,49 @@ struct NeuralState {
     last_hidden: Vec<f32>,
     /// Central only: per-sample log of full output vectors.
     outputs_log: Vec<Vec<f32>>,
+}
+
+impl NeuralState {
+    /// Phase 1: this node's hidden activations on `input`.
+    fn hidden_forward(&mut self, input: Vec<f32>) -> Vec<f32> {
+        self.last_input = input;
+        self.hidden.forward(&self.last_input)
+    }
+
+    /// Phase 2: this node's output activations on the full hidden vector.
+    fn output_forward(&mut self, hidden: Vec<f32>) -> Vec<f32> {
+        self.last_hidden = hidden;
+        self.output.forward(&self.last_hidden)
+    }
+
+    /// Phase 3: output deltas of this node's activations `out` against
+    /// its `target` slice, its output-row update, and its partial hidden
+    /// error.
+    fn output_backward(&mut self, out: &[f32], target: &[f32]) -> Vec<f32> {
+        let delta: Vec<f32> = out
+            .iter()
+            .zip(target)
+            .map(|(&a, &t)| (a - t) * sigmoid_prime(a))
+            .collect();
+        let n = self.output.units;
+        let partial = self.output.backward_partials(0, n, &delta);
+        self.output
+            .update_slice(0, n, &delta, &self.last_hidden, LEARNING_RATE);
+        partial
+    }
+
+    /// Phase 4: hidden deltas from this node's slice `err` of the summed
+    /// hidden error, and its hidden-row update.
+    fn hidden_backward(&mut self, err: &[f32]) {
+        let r = self.hidden_range;
+        let delta: Vec<f32> = err
+            .iter()
+            .zip(&self.last_hidden[r.lo..r.hi])
+            .map(|(&e, &h)| e * sigmoid_prime(h))
+            .collect();
+        self.hidden
+            .update_slice(0, r.len(), &delta, &self.last_input, LEARNING_RATE);
+    }
 }
 
 /// Header every phase message carries besides its payload.
@@ -123,19 +174,29 @@ struct PhaseWork {
     me: FuncId,
 }
 
+/// One phase message: header, phase function and payload, encoded once
+/// and shared by every recipient.
+fn phase_message(header: &PhaseHeader, func: FuncId, payload: &[u8]) -> Payload {
+    let mut args = ArgsWriter::new();
+    write_header(&mut args, header);
+    args.u32(func.0);
+    args.raw(payload);
+    args.finish()
+}
+
 impl PhaseWork {
     fn forward_to_children(&self, ctx: &mut Ctx<'_>) {
         if self.header.shape != CommsShape::Tree {
             return;
         }
-        let n = ctx.num_nodes();
-        let me = ctx.node();
-        for child in earth_machine::topology::broadcast_children(NodeId(0), me, n) {
-            let mut args = ArgsWriter::new();
-            write_header(&mut args, &self.header);
-            args.u32(self.me.0);
-            args.raw(&self.payload);
-            ctx.invoke(child, self.me, args.finish());
+        let children =
+            earth_machine::topology::broadcast_children(NodeId(0), ctx.node(), ctx.num_nodes());
+        if children.is_empty() {
+            return;
+        }
+        let msg = phase_message(&self.header, self.me, &self.payload);
+        for child in children {
+            ctx.invoke(child, self.me, msg.clone());
         }
     }
 }
@@ -145,25 +206,21 @@ impl ThreadedFn for PhaseWork {
         // Forward down the tree before computing, so the broadcast
         // pipeline overlaps with local work.
         self.forward_to_children(ctx);
-        let (hidden_range, output_range) = {
+        let (hidden_range, output_range, n_in, n_hidden) = {
             let st: &NeuralState = ctx.user();
-            (st.hidden_range, st.output_range)
+            (
+                st.hidden_range,
+                st.output_range,
+                st.hidden.fanin,
+                st.output.fanin,
+            )
         };
         match self.header.phase {
             1 => {
                 // Hidden slice on the broadcast input.
                 let input = bytes_to_f32s(&self.payload);
-                let (slice, fanin) = {
-                    let st = ctx.user_mut::<NeuralState>();
-                    st.last_input = input.clone();
-                    (
-                        st.net
-                            .hidden
-                            .forward_slice(hidden_range.lo, hidden_range.hi, &input),
-                        st.net.hidden.fanin,
-                    )
-                };
-                ctx.compute(forward_slice_cost(hidden_range.len(), fanin));
+                let slice = ctx.user_mut::<NeuralState>().hidden_forward(input);
+                ctx.compute(forward_slice_cost(hidden_range.len(), n_in));
                 let dst = self.header.reply_addr.plus(4 * hidden_range.lo as u32);
                 ctx.data_sync(&f32s_to_bytes(&slice), dst, Some(self.header.reply_slot));
             }
@@ -171,58 +228,24 @@ impl ThreadedFn for PhaseWork {
                 // Phase 2: output slice forward; phase 3 adds the
                 // backward math (deltas, updates, partial hidden error).
                 let backward = self.header.phase == 3;
-                let nhidden = {
-                    let st: &NeuralState = ctx.user();
-                    st.net.output.fanin
-                };
-                let payload = bytes_to_f32s(&self.payload);
-                let (hidden, target) = if backward {
-                    let (h, t) = payload.split_at(nhidden);
-                    (h.to_vec(), t.to_vec())
-                } else {
-                    (payload, Vec::new())
-                };
-                let (slice, fanin) = {
-                    let st = ctx.user_mut::<NeuralState>();
-                    st.last_hidden = hidden.clone();
-                    let s = st
-                        .net
-                        .output
-                        .forward_slice(output_range.lo, output_range.hi, &hidden);
-                    (s, st.net.output.fanin)
-                };
-                ctx.compute(forward_slice_cost(output_range.len(), fanin));
+                let (hidden, target) = self.payload.split_at(4 * n_hidden);
+                let slice = ctx
+                    .user_mut::<NeuralState>()
+                    .output_forward(bytes_to_f32s(hidden));
+                ctx.compute(forward_slice_cost(output_range.len(), n_hidden));
                 let dst = self.header.reply_addr.plus(4 * output_range.lo as u32);
                 ctx.data_sync(&f32s_to_bytes(&slice), dst, Some(self.header.reply_slot));
                 if backward {
-                    let partial = {
-                        let st = ctx.user_mut::<NeuralState>();
-                        let delta: Vec<f32> = slice
-                            .iter()
-                            .enumerate()
-                            .map(|(k, &a)| (a - target[output_range.lo + k]) * sigmoid_prime(a))
-                            .collect();
-                        let partial = st.net.output.backward_partials(
-                            output_range.lo,
-                            output_range.hi,
-                            &delta,
-                        );
-                        let h = st.last_hidden.clone();
-                        st.net.output.update_slice(
-                            output_range.lo,
-                            output_range.hi,
-                            &delta,
-                            &h,
-                            LEARNING_RATE,
-                        );
-                        partial
-                    };
-                    ctx.compute(backward_slice_cost(output_range.len(), fanin));
+                    let target = bytes_to_f32s(&target[4 * output_range.lo..4 * output_range.hi]);
+                    let partial = ctx
+                        .user_mut::<NeuralState>()
+                        .output_backward(&slice, &target);
+                    ctx.compute(backward_slice_cost(output_range.len(), n_hidden));
                     // Each node owns one region of the partial buffer.
                     let region = self
                         .header
                         .partial_base
-                        .plus(4 * nhidden as u32 * ctx.node().0 as u32);
+                        .plus(4 * n_hidden as u32 * ctx.node().0 as u32);
                     ctx.data_sync(
                         &f32s_to_bytes(&partial),
                         region,
@@ -233,23 +256,9 @@ impl ThreadedFn for PhaseWork {
             4 => {
                 // Hidden-layer backward: receive summed hidden error,
                 // compute deltas, update weights.
-                let err = bytes_to_f32s(&self.payload);
-                let fanin = {
-                    let st = ctx.user_mut::<NeuralState>();
-                    let delta: Vec<f32> = (hidden_range.lo..hidden_range.hi)
-                        .map(|j| err[j] * sigmoid_prime(st.last_hidden[j]))
-                        .collect();
-                    let input = st.last_input.clone();
-                    st.net.hidden.update_slice(
-                        hidden_range.lo,
-                        hidden_range.hi,
-                        &delta,
-                        &input,
-                        LEARNING_RATE,
-                    );
-                    st.net.hidden.fanin
-                };
-                ctx.compute(backward_slice_cost(hidden_range.len(), fanin));
+                let err = bytes_to_f32s(&self.payload[4 * hidden_range.lo..4 * hidden_range.hi]);
+                ctx.user_mut::<NeuralState>().hidden_backward(&err);
+                ctx.compute(backward_slice_cost(hidden_range.len(), n_in));
                 ctx.sync(self.header.reply_slot);
             }
             other => unreachable!("no phase {other}"),
@@ -261,14 +270,9 @@ impl ThreadedFn for PhaseWork {
 fn phase_ctor(args: &mut ArgsReader<'_>) -> Box<dyn ThreadedFn> {
     let header = read_header(args);
     let me = FuncId(args.u32());
-    let n = args.remaining();
-    let mut buf = vec![0u8; n];
-    for b in buf.iter_mut() {
-        *b = args.u8();
-    }
     Box::new(PhaseWork {
         header,
-        payload: buf.into_boxed_slice(),
+        payload: args.rest().into(),
         me,
     })
 }
@@ -303,12 +307,9 @@ impl Central {
                 earth_machine::topology::broadcast_children(NodeId(0), NodeId(0), n)
             }
         };
+        let msg = phase_message(&header, self.phase_fn, payload_bytes);
         for node in targets {
-            let mut args = ArgsWriter::new();
-            write_header(&mut args, &header);
-            args.u32(self.phase_fn.0);
-            args.raw(payload_bytes);
-            ctx.invoke(node, self.phase_fn, args.finish());
+            ctx.invoke(node, self.phase_fn, msg.clone());
         }
     }
 
@@ -330,7 +331,7 @@ impl ThreadedFn for Central {
         match tid {
             // Start one sample: broadcast input, compute own hidden slice.
             ThreadId(0) => {
-                let (input, _) = self.samples[self.sample].clone();
+                let input = self.samples[self.sample].0.clone();
                 if remote > 0 {
                     ctx.init_sync(SLOT_HIDDEN, remote, remote, T_HIDDEN_DONE);
                     let header = PhaseHeader {
@@ -342,16 +343,9 @@ impl ThreadedFn for Central {
                     };
                     self.broadcast(ctx, header, &f32s_to_bytes(&input));
                 }
-                let (slice, range, fanin) = {
-                    let st = ctx.user_mut::<NeuralState>();
-                    st.last_input = input.clone();
-                    let r = st.hidden_range;
-                    (
-                        st.net.hidden.forward_slice(r.lo, r.hi, &input),
-                        r,
-                        st.net.hidden.fanin,
-                    )
-                };
+                let st = ctx.user_mut::<NeuralState>();
+                let (range, fanin) = (st.hidden_range, st.hidden.fanin);
+                let slice = st.hidden_forward(input);
                 ctx.compute(forward_slice_cost(range.len(), fanin));
                 ctx.write_local(
                     self.hidden_buf.offset + 4 * range.lo as u32,
@@ -365,16 +359,14 @@ impl ThreadedFn for Central {
             // backprop), compute own output slice (and backward math).
             T_HIDDEN_DONE => {
                 let backward = self.mode == PassMode::ForwardBackward;
-                let hidden = bytes_to_f32s(
-                    &ctx.read_local(self.hidden_buf.offset, 4 * self.n_hidden as u32),
-                );
-                let target = self.samples[self.sample].1.clone();
+                let mut payload = ctx.read_local(self.hidden_buf.offset, 4 * self.n_hidden as u32);
+                let hidden = bytes_to_f32s(&payload);
+                let target = &self.samples[self.sample].1;
                 if remote > 0 {
                     let signals = if backward { 2 * remote } else { remote };
                     ctx.init_sync(SLOT_OUTPUT, signals, signals, T_OUTPUT_DONE);
-                    let mut payload = hidden.clone();
                     let phase = if backward {
-                        payload.extend_from_slice(&target);
+                        payload.extend_from_slice(&f32s_to_bytes(target));
                         3
                     } else {
                         2
@@ -386,39 +378,20 @@ impl ThreadedFn for Central {
                         reply_slot: ctx.slot_ref(SLOT_OUTPUT),
                         partial_base: self.partial_buf,
                     };
-                    self.broadcast(ctx, header, &f32s_to_bytes(&payload));
+                    self.broadcast(ctx, header, &payload);
                 }
-                let (slice, range, fanin) = {
-                    let st = ctx.user_mut::<NeuralState>();
-                    st.last_hidden = hidden.clone();
-                    let r = st.output_range;
-                    (
-                        st.net.output.forward_slice(r.lo, r.hi, &hidden),
-                        r,
-                        st.net.output.fanin,
-                    )
-                };
+                let st = ctx.user_mut::<NeuralState>();
+                let (range, fanin) = (st.output_range, st.output.fanin);
+                let slice = st.output_forward(hidden);
                 ctx.compute(forward_slice_cost(range.len(), fanin));
                 ctx.write_local(
                     self.out_buf.offset + 4 * range.lo as u32,
                     &f32s_to_bytes(&slice),
                 );
                 if backward {
-                    let partial = {
-                        let st = ctx.user_mut::<NeuralState>();
-                        let r = st.output_range;
-                        let delta: Vec<f32> = slice
-                            .iter()
-                            .enumerate()
-                            .map(|(k, &a)| (a - target[r.lo + k]) * sigmoid_prime(a))
-                            .collect();
-                        let partial = st.net.output.backward_partials(r.lo, r.hi, &delta);
-                        let h = st.last_hidden.clone();
-                        st.net
-                            .output
-                            .update_slice(r.lo, r.hi, &delta, &h, LEARNING_RATE);
-                        partial
-                    };
+                    let partial = ctx
+                        .user_mut::<NeuralState>()
+                        .output_backward(&slice, &target[range.lo..range.hi]);
                     ctx.compute(backward_slice_cost(range.len(), fanin));
                     ctx.write_local(self.partial_buf.offset, &f32s_to_bytes(&partial));
                 }
@@ -461,20 +434,10 @@ impl ThreadedFn for Central {
                     self.broadcast(ctx, header, &f32s_to_bytes(&err));
                 }
                 // Own hidden slice backward.
-                let fanin = {
-                    let st = ctx.user_mut::<NeuralState>();
-                    let r = st.hidden_range;
-                    let delta: Vec<f32> = (r.lo..r.hi)
-                        .map(|j| err[j] * sigmoid_prime(st.last_hidden[j]))
-                        .collect();
-                    let input = st.last_input.clone();
-                    st.net
-                        .hidden
-                        .update_slice(r.lo, r.hi, &delta, &input, LEARNING_RATE);
-                    st.net.hidden.fanin
-                };
-                let own_hidden = ctx.user::<NeuralState>().hidden_range.len();
-                ctx.compute(backward_slice_cost(own_hidden, fanin));
+                let st = ctx.user_mut::<NeuralState>();
+                let (r, fanin) = (st.hidden_range, st.hidden.fanin);
+                st.hidden_backward(&err[r.lo..r.hi]);
+                ctx.compute(backward_slice_cost(r.len(), fanin));
                 if remote == 0 {
                     ctx.spawn(T_BACK_DONE);
                 }
@@ -583,12 +546,14 @@ fn run_neural_inner(
     let out_ranges = partition(n_out, nodes as usize);
     let net = Mlp::new(n_in, n_hidden, n_out, seed ^ 0xD1);
     for node in 0..nodes {
+        let (h, o) = (hidden_ranges[node as usize], out_ranges[node as usize]);
         rt.set_state(
             NodeId(node),
             NeuralState {
-                net: net.clone(),
-                hidden_range: hidden_ranges[node as usize],
-                output_range: out_ranges[node as usize],
+                hidden: net.hidden.rows(h.lo, h.hi),
+                output: net.output.rows(o.lo, o.hi),
+                hidden_range: h,
+                output_range: o,
                 last_input: Vec::new(),
                 last_hidden: Vec::new(),
                 outputs_log: Vec::new(),
@@ -792,5 +757,97 @@ mod shaped_tests {
             }
             net.train_sample(&x, &t, LEARNING_RATE);
         }
+    }
+}
+
+#[cfg(test)]
+mod parity_tests {
+    use super::*;
+
+    /// Sequential training in the app's own order: per-unit forward and
+    /// update, with the hidden error summed per node slice of the output
+    /// layer in node order, as central sums the partials it collects.
+    /// Returns each sample's output before that sample's update.
+    fn sliced_reference(
+        [n_in, n_hidden, n_out]: [usize; 3],
+        nodes: u16,
+        samples: usize,
+        seed: u64,
+    ) -> Vec<Vec<f32>> {
+        let mut net = Mlp::new(n_in, n_hidden, n_out, seed ^ 0xD1);
+        let slices = partition(n_out, nodes as usize);
+        let mut rng = Rng::new(seed ^ 0x5A);
+        (0..samples)
+            .map(|_| {
+                let x: Vec<f32> = (0..n_in)
+                    .map(|_| rng.gen_f64_range(-1.0, 1.0) as f32)
+                    .collect();
+                let t: Vec<f32> = (0..n_out)
+                    .map(|_| rng.gen_f64_range(0.1, 0.9) as f32)
+                    .collect();
+                let acts = net.forward(&x);
+                let delta: Vec<f32> = acts
+                    .output
+                    .iter()
+                    .zip(&t)
+                    .map(|(&a, &t)| (a - t) * sigmoid_prime(a))
+                    .collect();
+                let mut err = vec![0.0f32; n_hidden];
+                for s in &slices {
+                    let partial = net.output.backward_partials(s.lo, s.hi, &delta[s.lo..s.hi]);
+                    for (e, p) in err.iter_mut().zip(&partial) {
+                        *e += p;
+                    }
+                }
+                let hidden_delta: Vec<f32> = acts
+                    .hidden
+                    .iter()
+                    .zip(&err)
+                    .map(|(&h, &e)| e * sigmoid_prime(h))
+                    .collect();
+                net.output
+                    .update_slice(0, n_out, &delta, &acts.hidden, LEARNING_RATE);
+                net.hidden
+                    .update_slice(0, n_hidden, &hidden_delta, &x, LEARNING_RATE);
+                acts.output
+            })
+            .collect()
+    }
+
+    fn assert_bit_parity(widths: [usize; 3], nodes: u16, shape: CommsShape) {
+        let (samples, seed) = (6, 31);
+        let [n_in, n_hidden, n_out] = widths;
+        let run = run_neural_on(
+            MachineConfig::manna(nodes),
+            n_in,
+            n_hidden,
+            n_out,
+            samples,
+            seed,
+            PassMode::ForwardBackward,
+            shape,
+        );
+        let want = sliced_reference(widths, nodes, samples, seed);
+        assert_eq!(run.outputs.len(), samples);
+        for (k, (got, want)) in run.outputs.iter().zip(&want).enumerate() {
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{widths:?} on {nodes} nodes, sample {k}");
+        }
+    }
+
+    #[test]
+    fn forward_backward_is_bit_exact_on_a_tree() {
+        assert_bit_parity([44; 3], 6, CommsShape::Tree);
+    }
+
+    #[test]
+    fn rectangular_forward_backward_is_bit_exact_sequentially() {
+        assert_bit_parity([13, 29, 11], 4, CommsShape::Sequential);
+    }
+
+    #[test]
+    fn forward_backward_is_bit_exact_with_empty_slices() {
+        assert_bit_parity([7; 3], 8, CommsShape::Tree);
     }
 }

@@ -209,6 +209,12 @@ impl<'a> ArgsReader<'a> {
         self.take(n)
     }
 
+    /// Every byte not yet consumed, as one borrowed slice; the reader is
+    /// left at the end.
+    pub fn rest(&mut self) -> &'a [u8] {
+        self.take(self.remaining())
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -263,6 +269,18 @@ mod tests {
         assert_eq!(r.slot(), slot);
         assert_eq!(r.addr(), addr);
         assert_eq!(r.bytes(), b"hello");
+    }
+
+    #[test]
+    fn rest_takes_the_unprefixed_tail() {
+        let mut w = ArgsWriter::new();
+        w.u8(3).u32(9).raw(&[5, 6, 7, 8]);
+        let b = w.finish();
+        let mut r = ArgsReader::new(&b);
+        assert_eq!((r.u8(), r.u32()), (3, 9));
+        assert_eq!(r.rest(), &[5, 6, 7, 8]);
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.rest(), &[] as &[u8]);
     }
 
     #[test]

@@ -4,54 +4,165 @@
 //! All arithmetic uses `f32` ("all computations using floats for the
 //! operands", Table 3). The parallel application computes *exactly* these
 //! formulas, unit-slice by unit-slice, so its outputs are validated
-//! bit-for-bit against this implementation (summation order is kept
-//! identical: ascending over fan-in).
+//! bit-for-bit against this implementation.
+//!
+//! # Weight layout and summation order
+//!
+//! A [`Layer`] stores its weights in blocks of 8 units. Inside a block
+//! the weights are fan-in-major: the 8 weights of input `i` lie side by
+//! side, one lane per unit. The last block is padded with `+0.0`
+//! weights.
+//!
+//! The layout changes which sums run side by side, never the order of
+//! any one sum:
+//! - the forward pass accumulates a block's units in parallel lanes, and
+//!   each unit still starts from its bias and adds `w[u][i] · x[i]`
+//!   (one multiply, one add) for `i` ascending;
+//! - the backward partial of input `j` still adds `w[u][j] · delta[u]`
+//!   for `u` ascending, starting from `+0.0`;
+//! - the update still subtracts `(lr · delta[u]) · x[i]` from each
+//!   weight and `lr · delta[u]` from each bias.
+//!
+//! Every result is therefore bit-identical to the textbook row-major
+//! kernels, which the crate's `kernel_oracle` tests keep as the
+//! reference.
+//!
+//! Kernels work on whole blocks. On a slice that starts or ends inside a
+//! block:
+//! - the forward pass computes every lane and keeps the slice's;
+//! - the backward pass gives every lane outside the slice a zero delta.
+//!   This is exact while the weights are finite. Each partial sum starts
+//!   at `+0.0`, and a float sum is `-0.0` only when both addends are, so
+//!   the sum is never `-0.0` and adding a `±0.0` product leaves it as it
+//!   was. A non-finite weight would add NaN;
+//! - the update selects the slice's lanes explicitly, because subtracting
+//!   a zero step turns a `-0.0` weight into `+0.0`. Only padding lanes
+//!   take a zero step, which keeps them `+0.0` under finite inputs.
 
 use earth_sim::Rng;
+use std::ops::Range;
 
-/// One fully-connected layer: `units × fanin` weights (row-major, one row
-/// per unit) plus a bias per unit.
+/// Units per weight block: one 32-byte row of `f32` lanes per input.
+const BLOCK: usize = 8;
+
+/// One fully-connected layer: `units × fanin` weights plus a bias per
+/// unit.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Layer {
     /// Number of units in this layer.
     pub units: usize,
     /// Incoming connections per unit.
     pub fanin: usize,
-    /// Weights, `w[u * fanin + i]` connecting input `i` to unit `u`.
-    pub w: Vec<f32>,
+    /// Weights in blocks of `BLOCK` units (see the module docs):
+    /// `w[(u / BLOCK * fanin + i) * BLOCK + u % BLOCK]` connects input `i`
+    /// to unit `u`.
+    w: Vec<f32>,
     /// Biases, one per unit.
     pub b: Vec<f32>,
 }
 
+/// The blocks holding units `lo..hi` of a layer of `units` units, each
+/// with the lanes of it in the range.
+fn blocks(lo: usize, hi: usize, units: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    assert!(lo <= hi && hi <= units, "units {lo}..{hi} of {units}");
+    let end = if lo < hi { hi.div_ceil(BLOCK) } else { 0 };
+    (lo / BLOCK..end).map(move |blk| {
+        let base = blk * BLOCK;
+        (blk, lo.max(base) - base..hi.min(base + BLOCK) - base)
+    })
+}
+
 impl Layer {
-    fn new(units: usize, fanin: usize, rng: &mut Rng) -> Self {
-        let scale = (1.0 / fanin as f64).sqrt() as f32;
-        let w = (0..units * fanin)
-            .map(|_| (rng.gen_f64_range(-1.0, 1.0) as f32) * scale)
-            .collect();
-        let b = (0..units)
-            .map(|_| (rng.gen_f64_range(-0.1, 0.1)) as f32)
-            .collect();
-        Layer { units, fanin, w, b }
+    /// A layer of zero weights and biases.
+    fn zeros(units: usize, fanin: usize) -> Self {
+        Layer {
+            units,
+            fanin,
+            w: vec![0.0; units.div_ceil(BLOCK) * fanin * BLOCK],
+            b: vec![0.0; units],
+        }
     }
 
-    /// Net input (pre-activation) of `unit` given `input`.
-    pub fn net_input(&self, unit: usize, input: &[f32]) -> f32 {
-        debug_assert_eq!(input.len(), self.fanin);
-        let row = &self.w[unit * self.fanin..(unit + 1) * self.fanin];
-        let mut s = self.b[unit];
-        for (wi, xi) in row.iter().zip(input) {
-            s += wi * xi;
+    fn new(units: usize, fanin: usize, rng: &mut Rng) -> Self {
+        let scale = (1.0 / fanin as f64).sqrt() as f32;
+        let mut layer = Layer::zeros(units, fanin);
+        // Drawn unit-major, input-minor, whatever the storage order.
+        for u in 0..units {
+            for i in 0..fanin {
+                let at = layer.index(u, i);
+                layer.w[at] = (rng.gen_f64_range(-1.0, 1.0) as f32) * scale;
+            }
         }
-        s
+        for b in &mut layer.b {
+            *b = rng.gen_f64_range(-0.1, 0.1) as f32;
+        }
+        layer
+    }
+
+    fn index(&self, u: usize, i: usize) -> usize {
+        assert!(
+            u < self.units && i < self.fanin,
+            "weight ({u}, {i}) outside a {}×{} layer",
+            self.units,
+            self.fanin
+        );
+        (u / BLOCK * self.fanin + i) * BLOCK + u % BLOCK
+    }
+
+    /// The weight connecting input `i` to unit `u`.
+    pub fn weight(&self, u: usize, i: usize) -> f32 {
+        self.w[self.index(u, i)]
+    }
+
+    /// Units `lo..hi` as a layer of their own: unit `u` here is unit
+    /// `lo + u` of `self`, with the same weights and bias.
+    pub fn rows(&self, lo: usize, hi: usize) -> Layer {
+        assert!(
+            lo <= hi && hi <= self.units,
+            "rows {lo}..{hi} of {}",
+            self.units
+        );
+        let mut out = Layer::zeros(hi - lo, self.fanin);
+        for u in lo..hi {
+            for i in 0..self.fanin {
+                let at = out.index(u - lo, i);
+                out.w[at] = self.weight(u, i);
+            }
+        }
+        out.b.copy_from_slice(&self.b[lo..hi]);
+        out
+    }
+
+    /// Block `blk`'s weights, one row of lanes per input.
+    fn block(&self, blk: usize) -> &[[f32; BLOCK]] {
+        let n = self.fanin * BLOCK;
+        self.w[blk * n..(blk + 1) * n].as_chunks().0
+    }
+
+    fn block_mut(&mut self, blk: usize) -> &mut [[f32; BLOCK]] {
+        let n = self.fanin * BLOCK;
+        self.w[blk * n..(blk + 1) * n].as_chunks_mut().0
     }
 
     /// Activations of units `lo..hi` — the slice a machine node computes
     /// under unit parallelism.
     pub fn forward_slice(&self, lo: usize, hi: usize, input: &[f32]) -> Vec<f32> {
-        (lo..hi)
-            .map(|u| sigmoid(self.net_input(u, input)))
-            .collect()
+        assert_eq!(input.len(), self.fanin);
+        let mut out = Vec::with_capacity(hi - lo);
+        for (blk, lanes) in blocks(lo, hi, self.units) {
+            // Every lane is computed; lanes outside the slice, padding
+            // included, are dropped unread.
+            let mut acc = [0.0f32; BLOCK];
+            let bias = &self.b[blk * BLOCK..self.units.min((blk + 1) * BLOCK)];
+            acc[..bias.len()].copy_from_slice(bias);
+            for (row, &x) in self.block(blk).iter().zip(input) {
+                for (a, &w) in acc.iter_mut().zip(row) {
+                    *a += w * x;
+                }
+            }
+            out.extend(acc[lanes].iter().map(|&s| sigmoid(s)));
+        }
+        out
     }
 
     /// Full-layer activations.
@@ -64,13 +175,20 @@ impl Layer {
     /// Under unit parallelism each node computes this for the units it
     /// owns; the partial vectors are then summed.
     pub fn backward_partials(&self, lo: usize, hi: usize, delta: &[f32]) -> Vec<f32> {
-        debug_assert_eq!(delta.len(), hi - lo);
+        assert_eq!(delta.len(), hi - lo);
         let mut out = vec![0.0f32; self.fanin];
-        for u in lo..hi {
-            let row = &self.w[u * self.fanin..(u + 1) * self.fanin];
-            let d = delta[u - lo];
-            for (o, wi) in out.iter_mut().zip(row) {
-                *o += wi * d;
+        for (blk, lanes) in blocks(lo, hi, self.units) {
+            // Lanes outside the slice get a zero delta (see the module
+            // docs for why that is exact).
+            let mut d = [0.0f32; BLOCK];
+            let first = blk * BLOCK + lanes.start - lo;
+            d[lanes.clone()].copy_from_slice(&delta[first..first + lanes.len()]);
+            for (o, row) in out.iter_mut().zip(self.block(blk)) {
+                let mut s = *o;
+                for (w, d) in row.iter().zip(&d) {
+                    s += w * d;
+                }
+                *o = s;
             }
         }
         out
@@ -79,14 +197,43 @@ impl Layer {
     /// Gradient-descent update of units `lo..hi` for one sample:
     /// `w[u][i] -= lr · delta[u] · input[i]`, `b[u] -= lr · delta[u]`.
     pub fn update_slice(&mut self, lo: usize, hi: usize, delta: &[f32], input: &[f32], lr: f32) {
-        debug_assert_eq!(delta.len(), hi - lo);
-        for u in lo..hi {
-            let d = delta[u - lo];
-            let row = &mut self.w[u * self.fanin..(u + 1) * self.fanin];
-            for (wi, xi) in row.iter_mut().zip(input) {
-                *wi -= lr * d * xi;
+        assert_eq!(delta.len(), hi - lo);
+        assert_eq!(input.len(), self.fanin);
+        for (blk, lanes) in blocks(lo, hi, self.units) {
+            let base = blk * BLOCK;
+            let mut step = [0.0f32; BLOCK];
+            for l in lanes.clone() {
+                step[l] = lr * delta[base + l - lo];
+                self.b[base + l] -= step[l];
             }
-            self.b[u] -= lr * d;
+            let real = self.units.min(base + BLOCK) - base;
+            let rows = self.block_mut(blk);
+            if lanes == (0..real) {
+                // Every lane outside the slice is padding, which a zero
+                // step keeps at +0.0. Four input rows per step: LLVM
+                // vectorizes a loop over single rows across rows, which
+                // costs a lane transpose per load and per store.
+                let (quads, rest) = rows.as_chunks_mut::<4>();
+                let (xs, x_rest) = input.as_chunks::<4>();
+                for (quad, xs) in quads.iter_mut().zip(xs) {
+                    for (row, &x) in quad.iter_mut().zip(xs) {
+                        for (w, s) in row.iter_mut().zip(&step) {
+                            *w -= s * x;
+                        }
+                    }
+                }
+                for (row, &x) in rest.iter_mut().zip(x_rest) {
+                    for (w, s) in row.iter_mut().zip(&step) {
+                        *w -= s * x;
+                    }
+                }
+            } else {
+                for (row, &x) in rows.iter_mut().zip(input) {
+                    for (w, s) in row[lanes.clone()].iter_mut().zip(&step[lanes.clone()]) {
+                        *w -= s * x;
+                    }
+                }
+            }
         }
     }
 }
@@ -195,6 +342,14 @@ impl Mlp {
 mod tests {
     use super::*;
 
+    /// Add `eps` to the weight from input `i` to unit `u`.
+    fn bump(layer: &mut Layer, u: usize, i: usize, eps: f32) {
+        let before = layer.weight(u, i);
+        let at = layer.index(u, i);
+        layer.w[at] += eps;
+        assert_eq!(layer.weight(u, i), before + eps);
+    }
+
     #[test]
     fn forward_slices_compose_to_full_layer() {
         let net = Mlp::square(16, 3);
@@ -243,9 +398,8 @@ mod tests {
                 .sum::<f64>()
         };
         let eps = 1e-3f32;
-        let idx = net.output.fanin + 2;
         let base = loss(&net);
-        net.output.w[idx] += eps;
+        bump(&mut net.output, 1, 2, eps);
         let bumped = loss(&net);
         let numeric = (bumped - base) / eps as f64;
         assert!(
@@ -272,9 +426,8 @@ mod tests {
                 .sum::<f64>()
         };
         let eps = 1e-3f32;
-        let idx = 2 * net.hidden.fanin + 1;
         let base = loss(&net);
-        net.hidden.w[idx] += eps;
+        bump(&mut net.hidden, 2, 1, eps);
         let numeric = (loss(&net) - base) / eps as f64;
         assert!(
             (analytic - numeric).abs() < 1e-3,

@@ -10,6 +10,9 @@ cargo build --release --offline --workspace --all-targets
 echo "== tests =="
 cargo test -q --offline --workspace
 
+echo "== nn and apps tests (release: the vectorized f32 kernels exist only in optimized builds) =="
+cargo test -q --release --offline -p earth-nn -p earth-apps
+
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
