@@ -98,8 +98,8 @@ pub struct RunReport {
     pub live_frames: u64,
     /// Largest number of events pending in the scheduler's queue at any
     /// instant — the load the event core had to sustain. A pure
-    /// observation: identical across queue implementations, and absent
-    /// from `Display` so report goldens are unaffected.
+    /// observation of the schedule, absent from `Display` so report
+    /// goldens are unaffected.
     pub peak_queue_depth: u64,
     /// Traffic-plane lifecycle accounting — `Some` exactly when a
     /// non-empty traffic plan was installed (batch runs stay `None` and

@@ -24,7 +24,7 @@ use crate::slow::{SlowState, SlowTransition};
 use crate::trace::{Activity, Span, Trace};
 use crate::traffic::{Admission, Discipline, JobArrival, OverloadPolicy, TrafficState};
 use earth_machine::{MachineConfig, NetFate, Network, NodeId, OpClass};
-use earth_sim::{Rng, SimQueue, VirtualDuration, VirtualTime};
+use earth_sim::{EventQueue, Rng, VirtualDuration, VirtualTime};
 
 /// Default per-node memory: MANNA's 32 MB.
 pub const NODE_MEMORY: usize = 32 << 20;
@@ -94,7 +94,10 @@ type Ctor = Box<dyn Fn(&mut ArgsReader<'_>) -> Box<dyn ThreadedFn>>;
 pub struct Runtime {
     pub(crate) nodes: Vec<Node>,
     pub(crate) net: Network,
-    pub(crate) events: SimQueue<Event>,
+    /// Pending events, popped in `(time, push order)` order. A binary
+    /// heap: every event, report and golden is a function of that order
+    /// alone, so the queue's layout moves host time and memory only.
+    pub(crate) events: EventQueue<Event>,
     funcs: Vec<(String, Ctor)>,
     /// Tokens alive anywhere (queued or in flight); drives steal decisions.
     pub(crate) global_tokens: u64,
@@ -168,7 +171,7 @@ impl Runtime {
         } else {
             Vec::new()
         };
-        let mut events = SimQueue::new(net.config().queue);
+        let mut events = EventQueue::new();
         if let Some(rec) = recover.as_ref() {
             // Arm the crash plane: planned crashes (and scheduled
             // restarts) at their instants, plus the first detector and

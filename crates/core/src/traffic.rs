@@ -707,8 +707,8 @@ impl TrafficState {
                 let attempt = rec.retries;
                 // min(base · 2^(a-1), cap) + jitter in [0, base): the
                 // classic capped exponential backoff, with the jitter a
-                // pure function of (seed, job, attempt) so replay and
-                // queue-kind equivalence hold by construction.
+                // pure function of (seed, job, attempt) so replay holds
+                // by construction.
                 let shift = (attempt - 1).min(20);
                 let backoff = rp
                     .base

@@ -224,6 +224,22 @@ fn identical_seeds_give_identical_traces() {
     assert_ne!(run(77), run(78), "different seeds should differ somewhere");
 }
 
+#[test]
+fn peak_queue_depth_is_observed_but_not_displayed() {
+    let mut rt = Runtime::new(MachineConfig::manna(8), 3);
+    let burn = rt.register("burn", burn_ctor);
+    for _ in 0..64 {
+        let mut a = ArgsWriter::new();
+        a.u64(500);
+        rt.inject_token(burn, a.finish());
+    }
+    let report = rt.run();
+    assert!(report.peak_queue_depth > 0, "depth never observed");
+    assert!(report.peak_queue_depth <= report.events);
+    // The depth is an observation, not part of the stable textual report.
+    assert!(!format!("{report}").contains("peak"));
+}
+
 // ---------------------------------------------------------------------------
 
 /// Recursive fork-join over TOKENs: each task of depth d spawns two

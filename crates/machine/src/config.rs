@@ -14,7 +14,7 @@
 
 use crate::topology::{AnyTopology, NodeId, Topology, TopologyKind};
 use earth_faults::FaultPlan;
-use earth_sim::{QueueKind, VirtualDuration};
+use earth_sim::VirtualDuration;
 
 /// Whether an operation completes one-way (fire and forget) or requires a
 /// round trip. Determines which inflated overhead the message-passing cost
@@ -170,11 +170,6 @@ pub struct MachineConfig {
     /// trivial plan normalizes to) means the fault plane is absent: the
     /// network takes the exact fault-free code path.
     pub faults: Option<FaultPlan>,
-    /// Which event-queue implementation the runtime schedules on. The
-    /// ladder queue (default) is pop-for-pop identical to the reference
-    /// heap — the differential suite proves it — so this knob changes
-    /// wall-clock speed only, never results.
-    pub queue: QueueKind,
     /// Which interconnect connects the nodes. The default hierarchical
     /// crossbar is provably free: it reproduces the pre-trait hardcoded
     /// hop model byte for byte. Other kinds change hop counts and add
@@ -198,7 +193,6 @@ impl MachineConfig {
             comm: CommCostModel::Earth,
             dual_processor: false,
             faults: None,
-            queue: QueueKind::default(),
             topology: TopologyKind::default(),
         }
     }
@@ -228,13 +222,6 @@ impl MachineConfig {
     /// is byte-identical to never calling this at all.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = if plan.is_trivial() { None } else { Some(plan) };
-        self
-    }
-
-    /// Same machine scheduling on the given event-queue implementation.
-    /// Results are identical either way; only host wall-clock differs.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -277,9 +264,6 @@ mod tests {
         assert_eq!(m.cluster_size, 16);
         assert_eq!(m.link_bytes_per_sec, 50_000_000);
         assert!(matches!(m.comm, CommCostModel::Earth));
-        assert_eq!(m.queue, QueueKind::Ladder, "ladder is the default queue");
-        let m = m.with_queue(QueueKind::Heap);
-        assert_eq!(m.queue, QueueKind::Heap);
     }
 
     #[test]

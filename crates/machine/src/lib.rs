@@ -30,9 +30,6 @@ pub mod network;
 pub mod topology;
 
 pub use config::{CommCostModel, EarthCosts, MachineConfig, MsgPassingCosts, OpClass};
-// Re-export the queue knob so downstream crates can select it off a
-// `MachineConfig` without depending on earth-sim directly.
-pub use earth_sim::QueueKind;
 pub use network::{Delivery, FaultEvent, LinkSpan, NetFate, Network, NetworkStats, Resolved};
 pub use topology::{
     AnyTopology, FatTree, HierCrossbar, Hypercube, NodeId, Topology, TopologyKind, Torus,

@@ -1,11 +1,18 @@
-//! Ladder event queue: O(1)-amortized push/pop for the near horizon.
+//! Ladder event queue, kept only for the benchmark's queue-hold probe.
 //!
-//! The reference [`EventQueue`] pays `O(log n)` per operation on a
-//! `BinaryHeap`, and at 256+-node sweeps the heap holds tens of
-//! thousands of pending events — the hot loop spends its time sifting.
-//! [`LadderQueue`] exploits the structure of simulator workloads: almost
-//! every push lands just ahead of the current virtual time, and events
-//! are popped in a narrow moving window.
+//! The runtime does not schedule on this queue: it runs on
+//! [`EventQueue`], the `BinaryHeap` over `(time, seq)`. On the
+//! simulator's own event streams the ladder lost to the heap. Most
+//! runtime pushes land inside the active slice and binary-insert into
+//! the sorted `bottom` tier, so each one shifts hundreds of 96-byte
+//! entries (Katsura-3 on 1024 nodes: 2.91M of 3.31M pushes, 314 entries
+//! shifted on average), and every rung bucket keeps a `bottom`-sized
+//! allocation after its swap. The heap pops the same events in the same
+//! order, and perfbench's `scale_1024` workload runs 4× faster on it.
+//!
+//! [`LadderQueue`] stays public because perfbench's `sim.hold_ns_per_op`
+//! probe names it. It goes, together with its differential suite, once
+//! that probe times [`EventQueue`] instead.
 //!
 //! Three tiers:
 //!
@@ -25,16 +32,17 @@
 //!   events (plus all ties with the last timestamp) are pulled out of
 //!   the heap to build a fresh window.
 //!
-//! Determinism: every tier orders by the same `(time, seq)` key as the
-//! reference queue, and the tier boundaries only ever separate events
+//! Determinism: every tier orders by the same `(time, seq)` key as
+//! [`EventQueue`], and the tier boundaries only ever separate events
 //! whose keys already order them (an event in the rung at `t < win_hi`
 //! precedes every heap event at `t >= win_hi`; ties at a saturated
 //! `win_hi` are resolved by `seq`, and later pushes always have larger
 //! `seq`). The differential suite in `tests/queue_diff.rs` checks
 //! pop-for-pop equality against [`EventQueue`] on adversarial
-//! workloads, and the full-app suite checks byte-identical `RunReport`s.
+//! workloads.
 
 use crate::order::MinEntry;
+#[cfg(doc)]
 use crate::queue::EventQueue;
 use crate::time::VirtualTime;
 use std::collections::BinaryHeap;
@@ -264,111 +272,6 @@ impl<E> LadderQueue<E> {
     }
 }
 
-/// Which event-queue implementation a simulation runs on.
-///
-/// `Heap` is the property-tested reference; `Ladder` is the fast path,
-/// proven pop-for-pop identical by the differential suite. The knob
-/// exists so the reference stays exercised and any future queue bug
-/// bisects in one config flip.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Reference `BinaryHeap` queue ([`EventQueue`]).
-    Heap,
-    /// Ladder queue ([`LadderQueue`]), the default.
-    #[default]
-    Ladder,
-}
-
-/// An event queue of either kind behind one static dispatch point.
-pub enum SimQueue<E> {
-    /// The reference heap queue.
-    Heap(EventQueue<E>),
-    /// The ladder queue.
-    Ladder(LadderQueue<E>),
-}
-
-impl<E> SimQueue<E> {
-    /// An empty queue of the requested kind.
-    pub fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Heap => SimQueue::Heap(EventQueue::new()),
-            QueueKind::Ladder => SimQueue::Ladder(LadderQueue::new()),
-        }
-    }
-
-    /// Which implementation this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match self {
-            SimQueue::Heap(_) => QueueKind::Heap,
-            SimQueue::Ladder(_) => QueueKind::Ladder,
-        }
-    }
-
-    /// Schedule `event` at `time`.
-    pub fn push(&mut self, time: VirtualTime, event: E) {
-        match self {
-            SimQueue::Heap(q) => q.push(time, event),
-            SimQueue::Ladder(q) => q.push(time, event),
-        }
-    }
-
-    /// Remove and return the earliest event.
-    pub fn pop(&mut self) -> Option<(VirtualTime, E)> {
-        match self {
-            SimQueue::Heap(q) => q.pop(),
-            SimQueue::Ladder(q) => q.pop(),
-        }
-    }
-
-    /// Timestamp of the earliest event without removing it.
-    pub fn peek_time(&mut self) -> Option<VirtualTime> {
-        match self {
-            SimQueue::Heap(q) => q.peek_time(),
-            SimQueue::Ladder(q) => q.peek_time(),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match self {
-            SimQueue::Heap(q) => q.len(),
-            SimQueue::Ladder(q) => q.len(),
-        }
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            SimQueue::Heap(q) => q.is_empty(),
-            SimQueue::Ladder(q) => q.is_empty(),
-        }
-    }
-
-    /// Total number of events ever scheduled.
-    pub fn total_scheduled(&self) -> u64 {
-        match self {
-            SimQueue::Heap(q) => q.total_scheduled(),
-            SimQueue::Ladder(q) => q.total_scheduled(),
-        }
-    }
-
-    /// Largest number of events ever pending at once.
-    pub fn peak_len(&self) -> usize {
-        match self {
-            SimQueue::Heap(q) => q.peak_len(),
-            SimQueue::Ladder(q) => q.peak_len(),
-        }
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        match self {
-            SimQueue::Heap(q) => q.clear(),
-            SimQueue::Ladder(q) => q.clear(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,27 +416,5 @@ mod tests {
         // Still usable after clear.
         q.push(t(1), ());
         assert_eq!(q.pop(), Some((t(1), ())));
-    }
-
-    #[test]
-    fn simqueue_dispatches_both_kinds() {
-        for kind in [QueueKind::Heap, QueueKind::Ladder] {
-            let mut q = SimQueue::new(kind);
-            assert_eq!(q.kind(), kind);
-            q.push(t(2), "b");
-            q.push(t(1), "a");
-            assert_eq!(q.peek_time(), Some(t(1)));
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peak_len(), 2);
-            assert_eq!(q.pop(), Some((t(1), "a")));
-            assert_eq!(q.pop(), Some((t(2), "b")));
-            assert!(q.is_empty());
-            assert_eq!(q.total_scheduled(), 2);
-        }
-    }
-
-    #[test]
-    fn default_kind_is_ladder() {
-        assert_eq!(QueueKind::default(), QueueKind::Ladder);
     }
 }

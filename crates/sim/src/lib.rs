@@ -8,10 +8,11 @@
 //!
 //! * [`VirtualTime`] / [`VirtualDuration`] — a nanosecond-resolution clock
 //!   with saturating/checked arithmetic and human-readable formatting;
-//! * [`EventQueue`] — a priority queue of timestamped events with a total,
-//!   reproducible ordering (ties broken by insertion sequence number), plus
-//!   [`LadderQueue`], a pop-for-pop identical ladder queue with O(1)
-//!   near-horizon push/pop, selected per simulation via [`QueueKind`];
+//! * [`EventQueue`] — the runtime's event queue: a binary heap of
+//!   timestamped events with a total, reproducible ordering (ties broken by
+//!   insertion sequence number). [`LadderQueue`] pops in the same order; the
+//!   runtime does not use it, and it stays only for perfbench's queue-hold
+//!   probe;
 //! * [`Rng`] — a small, self-contained xoshiro256** PRNG seeded via
 //!   SplitMix64, so simulations are bit-identical for a given seed
 //!   regardless of dependency versions or platform.
@@ -26,7 +27,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use ladder::{LadderQueue, QueueKind, SimQueue};
+pub use ladder::LadderQueue;
 pub use order::MinEntry;
 pub use queue::EventQueue;
 pub use rng::{bounded_pareto, stream_word, unit_f64, word_bounded, Rng};

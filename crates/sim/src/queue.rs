@@ -7,8 +7,11 @@
 //! insertion order among ties. This makes whole-simulation traces a pure
 //! function of (program, seed).
 //!
-//! This is the *reference* queue: the property-tested baseline that the
-//! ladder queue in [`crate::ladder`] is differentially checked against.
+//! This is the runtime's only event queue, and the oracle that the ladder
+//! queue in [`crate::ladder`] is differentially checked against. The heap
+//! beats the ladder on the runtime's own event streams, where most pushes
+//! land near "now" and the ladder pays a sorted `Vec::insert` for each;
+//! [`crate::ladder`] has the measurements.
 
 use crate::order::MinEntry;
 use crate::time::VirtualTime;

@@ -39,9 +39,8 @@ cargo run --release --offline -p earth-bench --bin repro -- \
 echo "== benchmark self-test (Groebner, eigen and NN output checks end to end) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== event-queue equivalence (ladder vs reference heap) =="
+echo "== LadderQueue vs EventQueue pop order (perfbench's hold probe times the ladder) =="
 cargo test -q --offline -p earth-sim --test queue_diff
-cargo test -q --offline --test ladder_apps
 
 echo "== topology scale smoke (256 nodes, every app x interconnect, byte-identical reruns) =="
 cargo run --release --offline -p earth-bench --bin repro -- scale --smoke --json > /tmp/scale_smoke_a.json

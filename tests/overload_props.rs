@@ -1,11 +1,10 @@
 //! Property tests for the overload-control plane: replay determinism,
-//! terminal-outcome conservation, queue-kind equivalence, and the two
-//! "disabled == absent" guarantees (a default policy is the legacy code
-//! path; deadlines without shedding are pure bookkeeping), over
-//! randomized plans from the testkit's `overload_plan` generator.
+//! terminal-outcome conservation, and the two "disabled == absent"
+//! guarantees (a default policy is the legacy code path; deadlines
+//! without shedding are pure bookkeeping), over randomized plans from
+//! the testkit's `overload_plan` generator.
 
-use earth_manna::machine::{MachineConfig, QueueKind};
-use earth_manna::traffic::{run_traffic, run_traffic_on, JobOutcome};
+use earth_manna::traffic::{run_traffic, JobOutcome};
 use earth_testkit::domain::{overload_plan, traffic_plan};
 use earth_testkit::prelude::*;
 
@@ -74,29 +73,6 @@ props! {
         let by_tenant: u64 = t.slo_by_tenant().iter().map(|(_, s)| s.jobs).sum();
         prop_assert_eq!(by_class, slo.jobs);
         prop_assert_eq!(by_tenant, slo.jobs);
-    }
-
-    /// The heap and ladder event queues must drive byte-identical
-    /// overload runs — retries and sheds are scheduled events like any
-    /// other, so queue choice can never leak into outcomes.
-    #[test]
-    fn overload_is_queue_kind_invariant(
-        plan in overload_plan(10),
-        nodes in 1u16..9,
-        seed in any::<u64>(),
-    ) {
-        let heap = run_traffic_on(
-            &plan,
-            MachineConfig::manna(nodes).with_queue(QueueKind::Heap),
-            seed,
-        );
-        let ladder = run_traffic_on(
-            &plan,
-            MachineConfig::manna(nodes).with_queue(QueueKind::Ladder),
-            seed,
-        );
-        prop_assert_eq!(heap.report.traffic.as_ref(), ladder.report.traffic.as_ref());
-        prop_assert_eq!(format!("{:?}", heap.report), format!("{:?}", ladder.report));
     }
 
     /// "Disabled == absent", knob edition: a knob-free plan runs the

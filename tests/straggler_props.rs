@@ -1,11 +1,10 @@
 //! Property tests for the gray-failure plane: replay determinism,
-//! trivial-plan normalization ("disabled == absent", byte-for-byte),
-//! hedging dedup safety under real loss, and queue-kind invariance of
-//! the whole straggler plane, over randomized plans from the testkit's
-//! `slow_plan` generator. Plus the separation regression: a slow but
-//! alive node is quarantined, never failover-restarted.
+//! trivial-plan normalization ("disabled == absent", byte-for-byte) and
+//! hedging dedup safety under real loss, over randomized plans from the
+//! testkit's `slow_plan` generator. Plus the separation regression: a
+//! slow but alive node is quarantined, never failover-restarted.
 
-use earth_manna::machine::{FaultPlan, MachineConfig, QueueKind};
+use earth_manna::machine::{FaultPlan, MachineConfig};
 use earth_manna::sim::{VirtualDuration, VirtualTime};
 use earth_manna::traffic::{run_traffic_on, TrafficPlan};
 use earth_testkit::domain::{slow_plan, traffic_plan};
@@ -31,34 +30,26 @@ props! {
 
     /// An all-defaults `FaultPlan` is trivial and must normalize to "no
     /// fault plane at all": the run — reliability envelopes, detector,
-    /// counters, everything — is byte-identical to a plain run on both
-    /// event-queue kinds. This is the "provably free when disabled"
-    /// guarantee extended to the straggler knobs.
+    /// counters, everything — is byte-identical to a plain run. This is
+    /// the "provably free when disabled" guarantee extended to the
+    /// straggler knobs.
     #[test]
     fn trivial_plan_is_byte_identical_to_no_plane(
         plan in traffic_plan(10),
         nodes in 2u16..9,
         seed in any::<u64>(),
     ) {
-        for kind in [QueueKind::Heap, QueueKind::Ladder] {
-            let bare = run_traffic_on(
-                &plan,
-                MachineConfig::manna(nodes).with_queue(kind),
-                seed,
-            );
-            let defaulted = run_traffic_on(
-                &plan,
-                MachineConfig::manna(nodes)
-                    .with_queue(kind)
-                    .with_faults(FaultPlan::new()),
-                seed,
-            );
-            prop_assert_eq!(
-                format!("{:?}", bare.report),
-                format!("{:?}", defaulted.report),
-                "an all-defaults plan leaked into the run"
-            );
-        }
+        let bare = run_traffic_on(&plan, MachineConfig::manna(nodes), seed);
+        let defaulted = run_traffic_on(
+            &plan,
+            MachineConfig::manna(nodes).with_faults(FaultPlan::new()),
+            seed,
+        );
+        prop_assert_eq!(
+            format!("{:?}", bare.report),
+            format!("{:?}", defaulted.report),
+            "an all-defaults plan leaked into the run"
+        );
     }
 
     /// Hedged retransmits are a *bet*, never a correctness lever: with
@@ -87,34 +78,6 @@ props! {
         prop_assert!(t.is_conserved());
         prop_assert_eq!(t.completed, t.arrived, "a job was lost or doubled");
         prop_assert_eq!(t.in_flight(), 0);
-    }
-
-    /// The heap and ladder event queues must drive byte-identical
-    /// gray-failure runs: hedge timers, quarantine probes, and
-    /// speculative re-homing are scheduled events like any other, so
-    /// queue choice can never leak into detection or placement.
-    #[test]
-    fn straggler_plane_is_queue_kind_invariant(
-        faults in slow_plan(8),
-        plan in traffic_plan(8),
-        seed in any::<u64>(),
-    ) {
-        let heap = run_traffic_on(
-            &plan,
-            MachineConfig::manna(8)
-                .with_queue(QueueKind::Heap)
-                .with_faults(faults.clone()),
-            seed,
-        );
-        let ladder = run_traffic_on(
-            &plan,
-            MachineConfig::manna(8)
-                .with_queue(QueueKind::Ladder)
-                .with_faults(faults),
-            seed,
-        );
-        prop_assert_eq!(heap.report.traffic.as_ref(), ladder.report.traffic.as_ref());
-        prop_assert_eq!(format!("{:?}", heap.report), format!("{:?}", ladder.report));
     }
 }
 
