@@ -7,7 +7,7 @@ use earth_machine::{MachineConfig, NodeId};
 use earth_msgpass::{MpCtx, MpWorld, Process};
 use earth_rt::{ArgsWriter, Ctx, Runtime, SlotId, ThreadId, ThreadedFn};
 use earth_sim::VirtualDuration;
-use earth_testkit::bench::{BatchSize, Bench};
+use earth_testkit::bench::Bench;
 
 /// Ping-pong over EARTH split-phase stores.
 struct Pinger {
@@ -89,7 +89,6 @@ fn bench_primitives(c: &mut Bench) {
     let mut g = c.benchmark_group("primitives");
     g.bench_function("earth_pingpong_100", |b| b.iter(|| earth_pingpong(100)));
     g.bench_function("mp300_pingpong_100", |b| b.iter(|| mp_pingpong(100, 300)));
-    g.finish();
 
     // Report the simulated (not host) latency gap once.
     let earth = earth_pingpong(1000);
@@ -126,11 +125,9 @@ fn bench_load_balancer(c: &mut Bench) {
                     rt
                 },
                 |mut rt| rt.run(),
-                BatchSize::SmallInput,
             )
         });
     }
-    g.finish();
 }
 
 /// Split-phase vs blocked transfer shapes (sync-slot machinery cost).
@@ -171,7 +168,6 @@ fn bench_split_phase(c: &mut Bench) {
                 rt
             },
             |mut rt| rt.run(),
-            BatchSize::SmallInput,
         )
     });
 }

@@ -1,13 +1,14 @@
 //! Regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro [--quick] [--json] [table1|fig2|table2|fig4|fig5|table3|fig7|fig8|ablation|dual|profile|faults|crashes|scale|traffic|overload|stragglers|bench|all]
+//! repro [--quick] [--json] [--smoke] [table1|fig2|table2|fig4|fig5|table3|fig7|fig8|ablation|dual|profile|faults|crashes|scale|traffic|overload|stragglers|all]
 //! ```
 //!
 //! `--quick` shrinks matrices and seed counts (same shapes, CI speed).
 //! `--json` emits one machine-readable JSON record per experiment
-//! instead of the text tables. An unknown experiment name prints the
-//! valid names to stderr and exits 2.
+//! instead of the text tables. `--smoke` shrinks the open-loop and scale
+//! sweeps to CI size. An unknown experiment name or flag prints the
+//! valid ones to stderr and exits 2 before anything runs.
 //!
 //! `profile` (not part of `all`) runs the earth-profile demo: the
 //! overhead breakdown and utilization timeline for seeded eigenvalue
@@ -23,13 +24,6 @@
 //! workload with one node crash-stopped at a grid of crash times ×
 //! checkpoint intervals, with the checkpoint/recovery plane keeping
 //! every cell's results bit-identical to the fault-free baseline.
-//!
-//! `bench` (not part of `all`) runs the performance-baseline sweeps over
-//! every application variant and prints the `BENCH_<date>.json` document
-//! (regenerate the committed baseline with `repro --json bench`).
-//! `--smoke` shrinks the workloads to CI size; `--check-schema FILE`
-//! additionally validates that `FILE`'s schema matches the emitted
-//! document, exiting nonzero on drift.
 //!
 //! `scale` (not part of `all`) runs the topology scale sweep:
 //! speedup-vs-nodes curves for all three applications across the four
@@ -66,8 +60,6 @@ struct Opts {
     scale: Scale,
     json: bool,
     smoke: bool,
-    /// The file named after `--check-schema`, if any.
-    schema: Option<String>,
 }
 
 impl Opts {
@@ -180,47 +172,26 @@ const EXPERIMENTS: &[Experiment] = &[
     extra("stragglers", |o| {
         show!(o, o.sized(stragglers_table, stragglers_smoke))
     }),
-    extra("bench", |o| {
-        let doc = sweeps_to_json(&run_sweeps(o.smoke));
-        if let Some(path) = &o.schema {
-            check_schema(path, &doc);
-        }
-        doc
-    }),
 ];
 
-/// Exit nonzero unless the committed baseline at `path` has the same
-/// schema as the freshly emitted `doc`.
-fn check_schema(path: &str, doc: &str) {
-    let committed = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    let want = schema_signature(committed.trim())
-        .unwrap_or_else(|e| panic!("{path} is not valid baseline JSON: {e}"));
-    let got = schema_signature(doc).expect("emitter produced invalid JSON");
-    if want != got {
-        eprintln!("bench schema drift: {path} does not match the emitter");
-        eprintln!("  committed: {want}");
-        eprintln!("  emitted:   {got}");
-        std::process::exit(1);
-    }
-    eprintln!("bench schema OK against {path}");
-}
+/// Every flag `repro` accepts.
+const FLAGS: [&str; 3] = ["--quick", "--json", "--smoke"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut names: Vec<&str> = Vec::new();
-    let mut schema = None;
-    let mut rest = args.iter();
-    while let Some(a) = rest.next() {
-        if a == "--check-schema" {
-            let Some(path) = rest.next() else {
-                eprintln!("repro: --check-schema needs a file argument");
-                std::process::exit(2);
-            };
-            schema = Some(path.clone());
-        } else if !a.starts_with("--") {
-            names.push(a);
-        }
+    if let Some(bad) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+    {
+        eprintln!("repro: unknown flag `{bad}`");
+        eprintln!("valid flags: {}", FLAGS.join(" "));
+        std::process::exit(2);
     }
+    let names: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| !a.starts_with("--"))
+        .collect();
     let known = |n: &str| n == "all" || EXPERIMENTS.iter().any(|e| e.name == n);
     if let Some(bad) = names.iter().find(|n| !known(n)) {
         let valid: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
@@ -237,7 +208,6 @@ fn main() {
         },
         json: has("--json"),
         smoke: has("--smoke"),
-        schema,
     };
     let all = names.is_empty() || names.contains(&"all");
 

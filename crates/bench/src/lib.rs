@@ -15,7 +15,6 @@ pub mod experiments;
 pub mod json;
 mod open_loop;
 pub mod overload_sweep;
-pub mod perf;
 pub mod straggler_sweep;
 pub mod traffic_sweep;
 pub mod workloads;
@@ -24,7 +23,6 @@ pub use chrome::chrome_trace_json;
 pub use experiments::*;
 pub use json::{groebner_curves_to_json, neural_curves_to_json};
 pub use overload_sweep::{overload_smoke, overload_table, OverloadCell, OverloadTable};
-pub use perf::{run_sweeps, schema_signature, sweeps_to_json, SweepResult};
 pub use straggler_sweep::{stragglers_smoke, stragglers_table, StragglerCell, StragglerTable};
 pub use traffic_sweep::{traffic_smoke, traffic_table, TrafficCell, TrafficTable};
 pub use workloads::*;

@@ -34,7 +34,7 @@ const CRASH_UP_NS: u64 = 6_000_000;
 
 /// `plan` plus the repo's acceptance message loss: 1% drop, 0.5%
 /// duplication.
-pub(crate) fn lossy(plan: FaultPlan) -> FaultPlan {
+fn lossy(plan: FaultPlan) -> FaultPlan {
     plan.with_drop(0.01).with_duplicate(0.005)
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end checks of the `repro` binary's command line: the
-//! subcommand table rejects unknown names, dispatches to the right
-//! sweep, and keeps `--json` output one JSON record per line.
+//! subcommand table rejects unknown names and flags, dispatches to the
+//! right sweep, and keeps `--json` output one JSON record per line.
 
 use std::process::{Command, Output};
 
@@ -12,15 +12,23 @@ fn repro(args: &[&str]) -> Output {
 }
 
 #[test]
-fn unknown_experiment_name_is_rejected() {
-    let out = repro(&["fig4b"]);
-    assert!(!out.status.success(), "repro fig4b must fail");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("fig4b") && err.contains("fig4"), "{err}");
-    assert!(
-        out.stdout.is_empty(),
-        "nothing may run before the name check"
-    );
+fn unknown_names_and_flags_are_rejected() {
+    // (arguments, the one repro must name, a valid choice it must list)
+    for (args, bad, valid) in [
+        (&["fig4b"][..], "fig4b", "table1"),
+        (&["bench"], "bench", "stragglers"),
+        (&["--quick", "--jsn", "dual"], "--jsn", "--json"),
+        (&["--check-schema", "x"], "--check-schema", "--smoke"),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "repro {args:?} must exit 2");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(bad) && err.contains(valid), "{err}");
+        assert!(
+            out.stdout.is_empty(),
+            "nothing may run before the name and flag checks"
+        );
+    }
 }
 
 #[test]

@@ -1,29 +1,18 @@
-//! A criterion-style micro-benchmark runner with no dependencies.
+//! A micro-benchmark runner with no dependencies, and the sample
+//! statistics the open-loop sweeps also use.
 //!
-//! Each benchmark runs a warmup, then `sample_size` timed iterations,
-//! and reports mean/median/stddev/min/max. Results go to stderr as a
-//! human line and to stdout as one JSON object per line, in the same
+//! Each benchmark runs a warmup, then 60 timed iterations, and reports
+//! mean/median/stddev/min/max. Results go to stderr as a human
+//! line and to stdout as one JSON object per line, in the same
 //! hand-rolled style as `earth-bench`'s `json.rs`.
 //!
-//! Smoke mode (`TESTKIT_BENCH_SMOKE=1` in the environment, or a
-//! `--smoke` argument) runs a single iteration with no warmup so CI can
-//! catch bench bit-rot without paying for real measurements.
+//! Smoke mode (a `--smoke` argument) runs a single iteration with no
+//! warmup so CI can catch bench bit-rot without paying for real
+//! measurements.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
-
-/// How `iter_batched` amortizes setup; accepted for criterion-shape
-/// compatibility (every batch is one iteration here).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Small per-iteration inputs.
-    SmallInput,
-    /// Large per-iteration inputs.
-    LargeInput,
-    /// One setup per iteration.
-    PerIteration,
-}
 
 /// Summary statistics of one benchmark's samples, in nanoseconds.
 #[derive(Clone, Debug, PartialEq)]
@@ -100,31 +89,27 @@ fn human_time(ns: f64) -> String {
     }
 }
 
+/// Timed iterations per benchmark outside smoke mode.
+const SAMPLES: usize = 60;
+/// Untimed iterations run before the timed ones.
+const WARMUP: usize = 10;
+
 /// The top-level bench context handed to every bench function by
 /// [`bench_main!`](crate::bench_main).
 pub struct Bench {
     smoke: bool,
-    default_sample_size: usize,
-    warmup_iters: usize,
 }
 
 impl Bench {
-    /// Configuration from the environment: smoke mode via
-    /// `TESTKIT_BENCH_SMOKE` or `--smoke`; other arguments (cargo's
-    /// `--bench` etc.) are ignored.
+    /// Configuration from the command line: smoke mode via `--smoke`;
+    /// other arguments (cargo's `--bench` etc.) are ignored.
     pub fn from_env() -> Bench {
-        let smoke = std::env::var_os("TESTKIT_BENCH_SMOKE").is_some()
-            || std::env::args().any(|a| a == "--smoke");
-        Bench::new(smoke)
+        Bench::new(std::env::args().any(|a| a == "--smoke"))
     }
 
     /// Explicit construction (used by the testkit's own tests).
     pub fn new(smoke: bool) -> Bench {
-        Bench {
-            smoke,
-            default_sample_size: 60,
-            warmup_iters: 10,
-        }
+        Bench { smoke }
     }
 
     /// Start a named group of benchmarks.
@@ -132,27 +117,19 @@ impl Bench {
         Group {
             owner: self,
             name: name.as_ref().to_string(),
-            sample_size: None,
         }
     }
 
     /// Run one ungrouped benchmark.
-    pub fn bench_function<F>(&mut self, id: impl AsRef<str>, f: F) -> Stats
+    pub fn bench_function<F>(&mut self, id: impl AsRef<str>, mut f: F) -> Stats
     where
         F: FnMut(&mut Bencher),
     {
-        let sample_size = self.default_sample_size;
-        self.run_one(id.as_ref(), sample_size, f)
-    }
-
-    fn run_one<F>(&mut self, id: &str, sample_size: usize, mut f: F) -> Stats
-    where
-        F: FnMut(&mut Bencher),
-    {
+        let id = id.as_ref();
         let (samples, warmup) = if self.smoke {
             (1, 0)
         } else {
-            (sample_size, self.warmup_iters)
+            (SAMPLES, WARMUP)
         };
         let mut b = Bencher {
             samples_target: samples,
@@ -177,33 +154,21 @@ impl Bench {
     }
 }
 
-/// A named benchmark group (criterion's `benchmark_group` shape).
+/// A named benchmark group: its benchmarks report as `group/name`.
 pub struct Group<'a> {
     owner: &'a mut Bench,
     name: String,
-    sample_size: Option<usize>,
 }
 
 impl Group<'_> {
-    /// Override the per-benchmark sample count for this group.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        assert!(n > 0, "sample_size must be positive");
-        self.sample_size = Some(n);
-        self
-    }
-
     /// Run one benchmark in this group as `group/name`.
     pub fn bench_function<F>(&mut self, id: impl AsRef<str>, f: F) -> Stats
     where
         F: FnMut(&mut Bencher),
     {
         let full = format!("{}/{}", self.name, id.as_ref());
-        let sample_size = self.sample_size.unwrap_or(self.owner.default_sample_size);
-        self.owner.run_one(&full, sample_size, f)
+        self.owner.bench_function(full, f)
     }
-
-    /// End the group (nothing to flush; kept for call-shape parity).
-    pub fn finish(self) {}
 }
 
 /// The per-benchmark timing handle.
@@ -229,24 +194,8 @@ impl Bencher {
         }
     }
 
-    /// Record caller-measured durations: `f` runs the workload itself
-    /// and returns the nanoseconds to attribute to that sample (e.g. the
-    /// timed hot loop of a larger routine). Warmup calls are made but
-    /// their returns are discarded.
-    pub fn iter_custom<F>(&mut self, mut f: F)
-    where
-        F: FnMut() -> f64,
-    {
-        for _ in 0..self.warmup {
-            black_box(f());
-        }
-        for _ in 0..self.samples_target {
-            self.samples_ns.push(f());
-        }
-    }
-
     /// Time `routine` over fresh `setup` outputs, excluding setup time.
-    pub fn iter_batched<I, R, S, F>(&mut self, mut setup: S, mut routine: F, _size: BatchSize)
+    pub fn iter_batched<I, R, S, F>(&mut self, mut setup: S, mut routine: F)
     where
         S: FnMut() -> I,
         F: FnMut(I) -> R,
@@ -342,29 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_custom_excludes_warmup_samples() {
-        let mut bench = Bench::new(false);
-        let mut calls = 0u32;
-        let st = bench.bench_function("custom_probe", |b| {
-            b.iter_custom(|| {
-                calls += 1;
-                // Warmup calls (the first 10) report a wild outlier; if
-                // any leaked into the samples the mean could not be 10.
-                if calls <= 10 {
-                    1000.0
-                } else {
-                    10.0
-                }
-            });
-        });
-        assert_eq!(calls, 70, "10 warmup calls + 60 samples");
-        assert_eq!(st.n, 60);
-        assert_eq!(st.mean_ns, 10.0, "warmup values leaked into samples");
-        assert_eq!(st.p95_ns, 10.0);
-        assert_eq!(st.p99_ns, 10.0);
-    }
-
-    #[test]
     fn json_record_is_wellformed() {
         let st = stats(&[2.0, 4.0]);
         let j = st.to_json("group/case");
@@ -385,10 +311,21 @@ mod tests {
     }
 
     #[test]
+    fn full_mode_discards_warmup_iterations() {
+        let mut bench = Bench::new(false);
+        let mut calls = 0u32;
+        let st = bench.bench_function("full_probe", |b| {
+            b.iter(|| calls += 1);
+        });
+        assert_eq!(calls, 70, "10 warmup calls + 60 samples");
+        assert_eq!(st.n, 60);
+    }
+
+    #[test]
     fn iter_batched_times_only_the_routine() {
         let mut bench = Bench::new(true);
         let st = bench.bench_function("batched_probe", |b| {
-            b.iter_batched(|| vec![1u8; 64], |v| v.len(), BatchSize::SmallInput);
+            b.iter_batched(|| vec![1u8; 64], |v| v.len());
         });
         assert_eq!(st.n, 1);
         assert!(st.mean_ns >= 0.0);

@@ -35,13 +35,16 @@
 //!
 //! ## Benchmarks
 //!
+//! [`bench`] is a warmup/sample runner for `harness = false` bench
+//! targets (earth-bench's runtime-primitives micro-benchmark); a
+//! `--smoke` argument runs each benchmark once.
+//!
 //! ```no_run
 //! use earth_testkit::bench::Bench;
 //!
 //! fn bench_something(c: &mut Bench) {
 //!     let mut g = c.benchmark_group("group");
 //!     g.bench_function("case", |b| b.iter(|| 2 + 2));
-//!     g.finish();
 //! }
 //! earth_testkit::bench_main!(bench_something);
 //! ```

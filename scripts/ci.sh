@@ -29,12 +29,8 @@ cargo run --release --offline --example chaos_smoke >/dev/null
 echo "== format =="
 cargo fmt --check
 
-echo "== bench smoke (1 iteration per benchmark) =="
-TESTKIT_BENCH_SMOKE=1 cargo bench --offline --workspace >/dev/null
-
-echo "== perf-baseline smoke (schema check against the committed BENCH json) =="
-cargo run --release --offline -p earth-bench --bin repro -- \
-    bench --smoke --check-schema BENCH_2026-08-07.json >/dev/null
+echo "== primitives bench smoke (1 iteration per benchmark) =="
+cargo bench --offline -p earth-bench --bench primitives -- --smoke >/dev/null
 
 echo "== benchmark self-test (Groebner, eigen and NN output checks end to end) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
@@ -82,6 +78,10 @@ cargo run --release --offline -p earth-bench --bin repro -- faults --json > /tmp
 cargo run --release --offline -p earth-bench --bin repro -- crashes --json > /tmp/crashes.json
 cmp /tmp/faults.json crates/bench/tests/golden/faults.json
 cmp /tmp/crashes.json crates/bench/tests/golden/crashes.json
+
+echo "== paper-scale output (every table and figure, pinned bytes) =="
+cargo run --release --offline -p earth-bench --bin repro > /tmp/repro_paper_scale.txt
+cmp /tmp/repro_paper_scale.txt repro_paper_scale.txt
 
 echo "== repro rejects unknown experiment names =="
 if cargo run --release --offline -p earth-bench --bin repro -- nosuch 2>/dev/null; then
