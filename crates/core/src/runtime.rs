@@ -33,11 +33,13 @@ pub const NODE_MEMORY: usize = 32 << 20;
 /// guard for protocol bugs, far above any legitimate experiment).
 pub const DEFAULT_MAX_EVENTS: u64 = 200_000_000;
 
+/// One scheduled occurrence. Every variant fits in 16 bytes, so a heap
+/// entry with its `(time, seq)` key is 32; a message body lives in the
+/// runtime's [`InFlight`] slab and its `Deliver` carries only the slot.
 pub(crate) enum Event {
-    /// A message arriving at a node's NIC, tagged with the length of the
-    /// dependency chain behind it (critical-path accounting) and, under a
-    /// fault plan, the reliability envelope it travelled with.
-    Deliver(NodeId, Msg, VirtualDuration, Option<Envelope>),
+    /// A message arriving at a node's NIC: index of its [`Arrival`] in
+    /// the in-flight slab, emptied when the event pops.
+    Deliver(u32),
     Wake(NodeId),
     /// A retransmission deadline on one of `NodeId`'s unacked messages
     /// may have passed; wake it if it is idle (fault plans only).
@@ -88,6 +90,51 @@ pub(crate) enum Event {
     },
 }
 
+/// The body of one `Deliver` event: the message, its destination, the
+/// length of the dependency chain behind it (critical-path accounting)
+/// and, under a fault plan, the reliability envelope it travelled with.
+struct Arrival {
+    dst: NodeId,
+    msg: Msg,
+    cp: VirtualDuration,
+    env: Option<Envelope>,
+}
+
+/// The bodies of the `Deliver` events still in the queue. A slot is
+/// filled when its event is pushed and emptied when it pops; freed slots
+/// are reused last in, first out, so the slab grows only to the most
+/// deliveries ever in flight at once. Slot numbers never reach the
+/// queue's `(time, seq)` order, so they move host memory only.
+#[derive(Default)]
+struct InFlight {
+    slots: Vec<Option<Arrival>>,
+    free: Vec<u32>,
+}
+
+impl InFlight {
+    fn insert(&mut self, a: Arrival) -> u32 {
+        match self.free.pop() {
+            Some(k) => {
+                self.slots[k as usize] = Some(a);
+                k
+            }
+            None => {
+                let k = u32::try_from(self.slots.len()).expect("over 2^32 deliveries in flight");
+                self.slots.push(Some(a));
+                k
+            }
+        }
+    }
+
+    fn take(&mut self, k: u32) -> Arrival {
+        let a = self.slots[k as usize]
+            .take()
+            .expect("Deliver event popped twice");
+        self.free.push(k);
+        a
+    }
+}
+
 type Ctor = Box<dyn Fn(&mut ArgsReader<'_>) -> Box<dyn ThreadedFn>>;
 
 /// The EARTH runtime over a simulated MANNA machine.
@@ -98,6 +145,8 @@ pub struct Runtime {
     /// heap: every event, report and golden is a function of that order
     /// alone, so the queue's layout moves host time and memory only.
     pub(crate) events: EventQueue<Event>,
+    /// Message bodies of the queued `Deliver` events.
+    in_flight: InFlight,
     funcs: Vec<(String, Ctor)>,
     /// Tokens alive anywhere (queued or in flight); drives steal decisions.
     pub(crate) global_tokens: u64,
@@ -196,6 +245,7 @@ impl Runtime {
             slow_flags,
             traffic: None,
             events,
+            in_flight: InFlight::default(),
             funcs: Vec::new(),
             global_tokens: 0,
             marks: Vec::new(),
@@ -332,14 +382,12 @@ impl Runtime {
     /// Inject an invocation at t=0 (the program's `main`).
     pub fn inject_invoke(&mut self, node: NodeId, func: FuncId, args: impl Into<Payload>) {
         let args = args.into();
-        self.events.push(
+        self.push_deliver(
             VirtualTime::ZERO,
-            Event::Deliver(
-                node,
-                Msg::Invoke { func, args },
-                VirtualDuration::ZERO,
-                None,
-            ),
+            node,
+            Msg::Invoke { func, args },
+            VirtualDuration::ZERO,
+            None,
         );
     }
 
@@ -352,9 +400,12 @@ impl Runtime {
     pub fn inject_token_on(&mut self, node: NodeId, func: FuncId, args: impl Into<Payload>) {
         let args = args.into();
         self.global_tokens += 1;
-        self.events.push(
+        self.push_deliver(
             VirtualTime::ZERO,
-            Event::Deliver(node, Msg::Token { func, args }, VirtualDuration::ZERO, None),
+            node,
+            Msg::Token { func, args },
+            VirtualDuration::ZERO,
+            None,
         );
     }
 
@@ -464,9 +515,12 @@ impl Runtime {
             // to the next live node (deterministic given the plans).
             let home = self.live_home(t, home);
             self.global_tokens += 1;
-            self.events.push(
+            self.push_deliver(
                 t,
-                Event::Deliver(home, Msg::Token { func, args }, VirtualDuration::ZERO, None),
+                home,
+                Msg::Token { func, args },
+                VirtualDuration::ZERO,
+                None,
             );
         }
     }
@@ -531,7 +585,10 @@ impl Runtime {
                 self.processed
             );
             match ev {
-                Event::Deliver(node, msg, cp, env) => self.deliver(t, node, msg, cp, env),
+                Event::Deliver(k) => {
+                    let a = self.in_flight.take(k);
+                    self.deliver(t, a.dst, a.msg, a.cp, a.env);
+                }
                 Event::Wake(node) => self.wake(t, node),
                 Event::RetryCheck(node) => self.retry_check(t, node),
                 Event::Crash(i) => self.crash_node(t, i),
@@ -591,23 +648,7 @@ impl Runtime {
                 // and re-acks; a duplicated ack's second removal is a no-op.
                 let r = self.net.send_resolved(at, src, dst, msg.wire_size());
                 self.nodes[src.index()].stats.msgs_out += 1;
-                match r.fate {
-                    NetFate::Delivered { arrive } => self.events.push(
-                        arrive,
-                        Event::Deliver(dst, msg, cp + arrive.since(r.depart), None),
-                    ),
-                    NetFate::Dropped => {}
-                    NetFate::Duplicated { first, second } => {
-                        self.events.push(
-                            first,
-                            Event::Deliver(dst, msg.clone(), cp + first.since(r.depart), None),
-                        );
-                        self.events.push(
-                            second,
-                            Event::Deliver(dst, msg, cp + second.since(r.depart), None),
-                        );
-                    }
-                }
+                self.push_fate(r.depart, r.fate, dst, msg, cp, None);
             } else {
                 self.transmit_reliable(at, src, dst, msg, cp, None);
             }
@@ -615,10 +656,46 @@ impl Runtime {
         }
         let d = self.net.send_detailed(at, src, dst, msg.wire_size());
         self.nodes[src.index()].stats.msgs_out += 1;
-        self.events.push(
-            d.arrive,
-            Event::Deliver(dst, msg, cp + d.arrive.since(d.depart), None),
-        );
+        self.push_deliver(d.arrive, dst, msg, cp + d.arrive.since(d.depart), None);
+    }
+
+    /// Schedule `msg`'s arrival at `dst` at `at`. Every `Deliver` event is
+    /// made here, so its body always goes through the in-flight slab.
+    fn push_deliver(
+        &mut self,
+        at: VirtualTime,
+        dst: NodeId,
+        msg: Msg,
+        cp: VirtualDuration,
+        env: Option<Envelope>,
+    ) {
+        let k = self.in_flight.insert(Arrival { dst, msg, cp, env });
+        self.events.push(at, Event::Deliver(k));
+    }
+
+    /// Schedule the copies of a send that its fault-plane `fate`
+    /// delivers: one, none, or the original and then the duplicate. Each
+    /// copy's chain grows by its flight time since `depart`, when the
+    /// send left its sender link.
+    fn push_fate(
+        &mut self,
+        depart: VirtualTime,
+        fate: NetFate,
+        dst: NodeId,
+        msg: Msg,
+        cp: VirtualDuration,
+        env: Option<Envelope>,
+    ) {
+        match fate {
+            NetFate::Delivered { arrive } => {
+                self.push_deliver(arrive, dst, msg, cp + arrive.since(depart), env);
+            }
+            NetFate::Dropped => {}
+            NetFate::Duplicated { first, second } => {
+                self.push_deliver(first, dst, msg.clone(), cp + first.since(depart), env);
+                self.push_deliver(second, dst, msg, cp + second.since(depart), env);
+            }
+        }
     }
 
     /// Send `msg` under the reliability layer: sequence-numbered envelope,
@@ -699,23 +776,7 @@ impl Runtime {
             }
         }
         let env = Some(Envelope { src, seq });
-        match r.fate {
-            NetFate::Delivered { arrive } => self.events.push(
-                arrive,
-                Event::Deliver(dst, msg, cp + arrive.since(r.depart), env),
-            ),
-            NetFate::Dropped => {}
-            NetFate::Duplicated { first, second } => {
-                self.events.push(
-                    first,
-                    Event::Deliver(dst, msg.clone(), cp + first.since(r.depart), env),
-                );
-                self.events.push(
-                    second,
-                    Event::Deliver(dst, msg, cp + second.since(r.depart), env),
-                );
-            }
-        }
+        self.push_fate(r.depart, r.fate, dst, msg, cp, env);
         self.events.push(deadline, Event::RetryCheck(src));
     }
 
@@ -835,23 +896,7 @@ impl Runtime {
             .net
             .send_resolved(t + cost, node, dst, msg.wire_size() + ENV_BYTES);
         let env = Some(Envelope { src: node, seq });
-        match r.fate {
-            NetFate::Delivered { arrive } => self.events.push(
-                arrive,
-                Event::Deliver(dst, msg, cp + arrive.since(r.depart), env),
-            ),
-            NetFate::Dropped => {}
-            NetFate::Duplicated { first, second } => {
-                self.events.push(
-                    first,
-                    Event::Deliver(dst, msg.clone(), cp + first.since(r.depart), env),
-                );
-                self.events.push(
-                    second,
-                    Event::Deliver(dst, msg, cp + second.since(r.depart), env),
-                );
-            }
-        }
+        self.push_fate(r.depart, r.fate, dst, msg, cp, env);
     }
 
     /// A planned crash window begins: the node fail-stops. All of its
@@ -1710,8 +1755,108 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::SlotId;
+    use crate::args::ArgsWriter;
     use earth_machine::FaultPlan;
     use earth_testkit::prelude::*;
+
+    #[test]
+    fn an_event_is_sixteen_bytes() {
+        // Every push and pop moves whole heap entries, so a variant that
+        // carries a `Msg` inline (80 bytes) would triple that traffic for
+        // every kind of event. Message bodies go in the in-flight slab.
+        assert_eq!(std::mem::size_of::<Event>(), 16);
+    }
+
+    /// One unit of fan-out work: fetch 8 bytes from node 0, then invoke a
+    /// [`Sink`] on the next node, which writes one byte back to node 0.
+    struct Fetch {
+        src: GlobalAddr,
+        sink: FuncId,
+    }
+
+    impl ThreadedFn for Fetch {
+        fn run(&mut self, ctx: &mut Ctx<'_>, tid: ThreadId) {
+            if tid == ThreadId(0) {
+                let buf = ctx.alloc(8).offset;
+                ctx.init_sync(SlotId(0), 1, 0, ThreadId(1));
+                ctx.get_sync(self.src, buf, 8, SlotId(0));
+            } else {
+                ctx.compute(VirtualDuration::from_us(5));
+                let next = NodeId((ctx.node().0 + 1) % ctx.num_nodes());
+                let mut a = ArgsWriter::new();
+                a.addr(self.src);
+                ctx.invoke(next, self.sink, a.finish());
+                ctx.end();
+            }
+        }
+    }
+
+    struct Sink {
+        dst: GlobalAddr,
+    }
+
+    impl ThreadedFn for Sink {
+        fn run(&mut self, ctx: &mut Ctx<'_>, _tid: ThreadId) {
+            ctx.data_sync(&[1], self.dst, None);
+            ctx.end();
+        }
+    }
+
+    /// Run 24 [`Fetch`] tokens on 6 nodes under `plan`, then check that
+    /// every delivery handed its in-flight slot back when it popped.
+    fn run_and_check_slab(plan: Option<FaultPlan>) -> RunReport {
+        let mut cfg = MachineConfig::manna(6);
+        if let Some(p) = plan {
+            cfg = cfg.with_faults(p);
+        }
+        let mut rt = Runtime::new(cfg, 11);
+        let sink = rt.register("sink", |a: &mut ArgsReader<'_>| {
+            Box::new(Sink { dst: a.addr() })
+        });
+        let fetch = rt.register("fetch", move |a: &mut ArgsReader<'_>| {
+            Box::new(Fetch {
+                src: a.addr(),
+                sink,
+            })
+        });
+        let src = rt.alloc_on(NodeId(0), 8);
+        for _ in 0..24 {
+            let mut a = ArgsWriter::new();
+            a.addr(src);
+            rt.inject_token(fetch, a.finish());
+        }
+        let report = rt.run();
+        assert!(report.is_clean(), "{report}");
+        assert!(
+            rt.in_flight.slots.iter().all(Option::is_none),
+            "a delivery's body outlived its event"
+        );
+        assert_eq!(rt.in_flight.free.len(), rt.in_flight.slots.len());
+        report
+    }
+
+    #[test]
+    fn in_flight_slots_all_free_after_a_clean_run() {
+        let r = run_and_check_slab(None);
+        assert!(r.net_messages > 0);
+    }
+
+    #[test]
+    fn in_flight_slots_all_free_after_a_lossy_duplicating_run() {
+        let r = run_and_check_slab(Some(FaultPlan::new().with_drop(0.1).with_duplicate(0.1)));
+        assert!(r.net_dropped > 0 && r.net_duplicated > 0, "{r}");
+        let suppressed: u64 = r.nodes.iter().map(|n| n.dup_suppressed).sum();
+        assert!(suppressed > 0, "no duplicate reached the dedup check");
+    }
+
+    #[test]
+    fn in_flight_slots_all_free_after_a_crash_run() {
+        let us = |n| VirtualTime::ZERO + VirtualDuration::from_us(n);
+        let plan = FaultPlan::new().with_crash_restart(2, us(20), us(300));
+        let r = run_and_check_slab(Some(plan));
+        assert!(r.net_crash_dropped > 0, "no delivery hit the crashed NIC");
+    }
 
     /// Drive the token-holder index through randomized queue mutations and
     /// assert the steal-victim enumeration stays byte-identical to the

@@ -93,8 +93,10 @@ pub(crate) struct SlowState {
     probe_after: Option<VirtualDuration>,
     /// Speculatively re-home a node's queued tokens on quarantine entry.
     pub(crate) speculative: bool,
-    /// Median scratch buffer (reused per observation, no per-call alloc).
-    scratch: Vec<u64>,
+    /// The EWMAs of every sampled node, ascending (equal values repeat):
+    /// each observation swaps its node's old EWMA for the new one, so the
+    /// fleet median is one index lookup.
+    fleet: Vec<u64>,
 }
 
 impl SlowState {
@@ -110,7 +112,7 @@ impl SlowState {
             hedge_factor: plan.hedge,
             probe_after: plan.quarantine,
             speculative: plan.speculative_rehoming,
-            scratch: Vec::with_capacity(n),
+            fleet: Vec::with_capacity(n),
         }
     }
 
@@ -152,31 +154,48 @@ impl SlowState {
         sample: u64,
         now: VirtualTime,
     ) -> SlowTransition {
+        self.fold(from, sample);
+        let Some(det) = self.detector else {
+            return SlowTransition::None;
+        };
+        // Nearest-rank median over the nodes sampled so far.
+        let median = self.fleet[(self.fleet.len() - 1) / 2];
+        self.verdict(from, det, median, now)
+    }
+
+    /// Fold `sample` into `from`'s windowed-median EWMA and move the
+    /// node's entry in the sorted fleet index to the new value.
+    fn fold(&mut self, from: usize, sample: u64) {
         self.window[from][self.samples[from] as usize % WINDOW] = sample;
         let filled = (self.samples[from] as usize + 1).min(WINDOW);
         let mut recent = self.window[from];
         recent[..filled].sort_unstable();
         let windowed = recent[(filled - 1) / 2];
-        self.ewma[from] = if self.samples[from] == 0 {
+        let new = if self.samples[from] == 0 {
             windowed
         } else {
-            (3 * self.ewma[from] + windowed) / 4
+            let old = self.ewma[from];
+            let pos = self
+                .fleet
+                .binary_search(&old)
+                .expect("a sampled node's EWMA is in the fleet index");
+            self.fleet.remove(pos);
+            (3 * old + windowed) / 4
         };
+        self.ewma[from] = new;
+        let pos = self.fleet.binary_search(&new).unwrap_or_else(|p| p);
+        self.fleet.insert(pos, new);
         self.samples[from] = self.samples[from].saturating_add(1);
-        let Some(det) = self.detector else {
-            return SlowTransition::None;
-        };
-        // Nearest-rank median over the nodes sampled so far. The scan is
-        // O(nodes) per ack; machines here are ≤ 1024 nodes and the sort
-        // reuses one scratch buffer, so this stays off the profile.
-        self.scratch.clear();
-        for i in 0..self.ewma.len() {
-            if self.samples[i] > 0 {
-                self.scratch.push(self.ewma[i]);
-            }
-        }
-        self.scratch.sort_unstable();
-        let median = self.scratch[(self.scratch.len() - 1) / 2];
+    }
+
+    /// Judge `from` against the fleet `median` after its latest sample.
+    fn verdict(
+        &mut self,
+        from: usize,
+        det: earth_machine::SlowDetector,
+        median: u64,
+        now: VirtualTime,
+    ) -> SlowTransition {
         let slow = self.samples[from] >= det.min_samples
             && (self.ewma[from] as f64) > det.threshold * (median as f64);
         if slow {
@@ -199,9 +218,73 @@ impl SlowState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use earth_testkit::prelude::*;
 
     fn t(us: u64) -> VirtualTime {
         VirtualTime::from_ns(us * 1000)
+    }
+
+    /// The sampled nodes' EWMAs by scan and sort: the fleet index's
+    /// oracle.
+    fn sorted_scan(s: &SlowState) -> Vec<u64> {
+        let mut fleet: Vec<u64> = (0..s.ewma.len())
+            .filter(|&i| s.samples[i] > 0)
+            .map(|i| s.ewma[i])
+            .collect();
+        fleet.sort_unstable();
+        fleet
+    }
+
+    /// [`SlowState::observe_rtt`] with the fleet median taken from
+    /// [`sorted_scan`] instead of the index.
+    fn observe_rtt_scan(
+        s: &mut SlowState,
+        from: usize,
+        sample: u64,
+        now: VirtualTime,
+    ) -> SlowTransition {
+        s.fold(from, sample);
+        let Some(det) = s.detector else {
+            return SlowTransition::None;
+        };
+        let fleet = sorted_scan(s);
+        s.verdict(from, det, fleet[(fleet.len() - 1) / 2], now)
+    }
+
+    /// Ratios drawn from a short list, so EWMAs repeat across nodes and
+    /// the index holds equal values side by side.
+    const RATIOS: [u64; 6] = [0, 1_000, 1_000, 1_500, 3_000, 80_000];
+
+    props! {
+        #![config(Config::with_cases(64))]
+
+        #[test]
+        fn fleet_index_matches_the_scan_and_sort_oracle(
+            nodes in 1usize..65,
+            armed in any::<bool>(),
+            threshold in 1.5f64..4.0,
+            min_samples in 1u32..4,
+            ops in collection::vec((any::<u16>(), 0usize..RATIOS.len(), 0u64..50), 1..400),
+        ) {
+            let plan = if armed {
+                FaultPlan::new()
+                    .with_slow_detector(threshold, min_samples)
+                    .with_quarantine(VirtualDuration::from_us(100))
+            } else {
+                FaultPlan::new().with_hedging(1.5)
+            };
+            let mut s = SlowState::new(&plan, nodes as u16);
+            let mut oracle = SlowState::new(&plan, nodes as u16);
+            let mut now = 0;
+            for &(raw, pick, dt) in &ops {
+                let from = raw as usize % nodes;
+                now += dt;
+                let got = s.observe_rtt(from, RATIOS[pick], t(now));
+                let want = observe_rtt_scan(&mut oracle, from, RATIOS[pick], t(now));
+                prop_assert_eq!(&s.fleet, &sorted_scan(&s));
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 
     fn armed(nodes: u16) -> SlowState {

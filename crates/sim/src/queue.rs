@@ -71,20 +71,9 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total number of events ever scheduled (a cheap activity metric).
-    pub fn total_scheduled(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Largest number of events ever pending at once.
     pub fn peak_len(&self) -> usize {
         self.peak
-    }
-
-    /// Drop all pending events (used to cut a simulation short once its
-    /// result is known, e.g. after global termination is detected).
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -140,10 +129,6 @@ mod tests {
         q.push(t(3), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(t(3)));
-        assert_eq!(q.total_scheduled(), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.total_scheduled(), 2);
     }
 
     #[test]
@@ -159,7 +144,5 @@ mod tests {
         q.push(t(4), 3);
         // Depth never exceeded 3 again.
         assert_eq!(q.peak_len(), 3);
-        q.clear();
-        assert_eq!(q.peak_len(), 3, "peak survives clear()");
     }
 }

@@ -58,7 +58,7 @@ fn check_equivalent(label: &str, ops: &[Op]) {
             break;
         }
     }
-    assert_eq!(ladder.total_scheduled(), reference.total_scheduled());
+    assert_eq!(ladder.total_scheduled(), payload, "{label}: pushes");
     assert_eq!(ladder.peak_len(), reference.peak_len(), "{label}: peak");
 }
 

@@ -35,6 +35,19 @@ cargo bench --offline -p earth-bench --bench primitives -- --smoke >/dev/null
 echo "== benchmark self-test (Groebner, eigen and NN output checks end to end) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== benchmark virtual digests (seed 1997; only a declared model change moves a pin) =="
+for pin in paper_apps:0226ce5ce341459c scale_1024:ec95d2252960371d serve_chaos:a07f0b1ff118e73b; do
+    workload="${pin%%:*}"
+    want="${pin##*:}"
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1997 --seconds 0 --trace 0 > "/tmp/perfbench_$workload.txt"
+    if ! grep -q "virtual digest $want\$" "/tmp/perfbench_$workload.txt"; then
+        echo "$workload: virtual digest moved (pinned $want)"
+        grep "virtual digest" "/tmp/perfbench_$workload.txt" || true
+        exit 1
+    fi
+done
+
 echo "== LadderQueue vs EventQueue pop order (perfbench's hold probe times the ladder) =="
 cargo test -q --offline -p earth-sim --test queue_diff
 
