@@ -38,7 +38,6 @@ pub mod gf;
 pub mod inputs;
 pub mod monomial;
 pub mod poly;
-pub mod rewrite;
 pub mod spoly;
 pub mod wire;
 

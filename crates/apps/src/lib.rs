@@ -20,9 +20,6 @@
 //!   nodes; a central node collects/distributes activations per phase
 //!   through a tree-organized communication pattern (the sequential
 //!   pattern is kept as an ablation).
-//! * [`search`] — extension workloads from the search class the paper
-//!   cites as already demonstrated on EARTH-MANNA (§3.1): Paraffins
-//!   and a branch-and-bound TSP.
 //!
 //! Each module exposes a `run_*` entry point returning both the
 //! *verified application result* (eigenvalues / Gröbner basis / network
@@ -33,4 +30,3 @@
 pub mod eigen;
 pub mod groebner;
 pub mod neural;
-pub mod search;

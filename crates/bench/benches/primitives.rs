@@ -1,10 +1,8 @@
 //! Micro-benchmarks of the runtime primitives (host time of the
-//! simulator) and the simulated cost gap between EARTH split-phase
-//! operations and message passing — the §2 / §4 comparison underpinning
-//! every figure.
+//! simulator): a remote-invoke ping-pong, token fan-out through the
+//! load balancer, and split-phase gets.
 
 use earth_machine::{MachineConfig, NodeId};
-use earth_msgpass::{MpCtx, MpWorld, Process};
 use earth_rt::{ArgsWriter, Ctx, Runtime, SlotId, ThreadId, ThreadedFn};
 use earth_sim::VirtualDuration;
 use earth_testkit::bench::Bench;
@@ -60,45 +58,9 @@ fn earth_pingpong(rounds: u32) -> VirtualDuration {
     rt.run().elapsed
 }
 
-struct MpPinger {
-    rounds: u32,
-}
-
-impl Process for MpPinger {
-    fn start(&mut self, ctx: &mut MpCtx<'_>) {
-        if ctx.rank() == NodeId(0) {
-            ctx.send_sync(NodeId(1), 0, &[0; 16]);
-        }
-    }
-    fn on_message(&mut self, ctx: &mut MpCtx<'_>, src: NodeId, tag: u32, data: &[u8]) {
-        if tag < 2 * self.rounds {
-            ctx.send_sync(src, tag + 1, data);
-        }
-    }
-}
-
-fn mp_pingpong(rounds: u32, sync_us: u64) -> VirtualDuration {
-    let mut w = MpWorld::new(MachineConfig::manna(2), sync_us, 1);
-    for r in 0..2 {
-        w.set_program(NodeId(r), Box::new(MpPinger { rounds }));
-    }
-    w.run().elapsed
-}
-
 fn bench_primitives(c: &mut Bench) {
     let mut g = c.benchmark_group("primitives");
     g.bench_function("earth_pingpong_100", |b| b.iter(|| earth_pingpong(100)));
-    g.bench_function("mp300_pingpong_100", |b| b.iter(|| mp_pingpong(100, 300)));
-
-    // Report the simulated (not host) latency gap once.
-    let earth = earth_pingpong(1000);
-    let mp = mp_pingpong(1000, 300);
-    eprintln!(
-        "simulated round-trip: EARTH {} vs 300us message passing {} ({}x)",
-        earth / 2000,
-        mp / 2000,
-        mp.as_us_f64() / earth.as_us_f64()
-    );
 }
 
 /// Token fan-out: cost of dynamic load balancing.

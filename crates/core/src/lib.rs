@@ -69,7 +69,6 @@
 pub mod addr;
 pub mod args;
 pub mod ctx;
-pub mod earthc;
 pub mod frame;
 pub mod memory;
 pub mod msg;

@@ -5,6 +5,7 @@ use crate::memory::Memory;
 use crate::msg::{FuncId, Msg};
 use crate::payload::Payload;
 use crate::report::NodeStats;
+use crate::trace::Activity;
 use crate::{FrameId, ThreadId};
 use earth_sim::{Rng, VirtualDuration, VirtualTime};
 use std::any::Any;
@@ -55,6 +56,10 @@ pub(crate) struct Node {
     pub(crate) steal_cooldown: VirtualTime,
     /// Counters for the run report.
     pub(crate) stats: NodeStats,
+    /// Processor time per activity, written only by `Runtime::charge`.
+    /// The report's `NodeStats::busy` and `NodeStats::su_time` and
+    /// earth-profile's decomposition are all read from it.
+    pub(crate) time: [VirtualDuration; Activity::COUNT],
 }
 
 impl Node {
@@ -73,7 +78,13 @@ impl Node {
             steal_fails: 0,
             steal_cooldown: VirtualTime::ZERO,
             stats: NodeStats::default(),
+            time: [VirtualDuration::ZERO; Activity::COUNT],
         }
+    }
+
+    /// Execution Unit time: every activity but the Synchronization Unit's.
+    pub(crate) fn eu_time(&self) -> VirtualDuration {
+        self.time.iter().copied().sum::<VirtualDuration>() - self.time[Activity::Su as usize]
     }
 
     /// True when the node has nothing runnable of its own.

@@ -6,6 +6,8 @@
 //! load-balancer traffic — plus Synchronization Unit time in the
 //! dual-processor configuration, and attributes each serviced message's
 //! handling cost to its operation class. The decomposition is *exact*: the
+//! activity components and the report's busy and SU times are read from
+//! one per-node array that the runtime's single charge path writes, so the
 //! EU components sum nanosecond-for-nanosecond to [`NodeStats::busy`], SU
 //! time equals [`NodeStats::su_time`], and the per-class message times sum
 //! to poll + SU time ([`RunProfile::check`] asserts all three). This is the
@@ -21,7 +23,7 @@
 //! [`NodeStats::su_time`]: crate::NodeStats::su_time
 
 use crate::report::RunReport;
-use crate::trace::{Span, Trace};
+use crate::trace::{Activity, Span, Trace};
 use earth_machine::{FaultEvent, LinkSpan, OpClass};
 use earth_sim::{Breakdown, VirtualDuration};
 use std::fmt::Write as _;
@@ -91,6 +93,21 @@ impl NodeProfile {
         self.sync_msgs.time + self.async_msgs.time + self.internal_msgs.time
     }
 
+    /// Copy the ten activity fields out of a node's per-activity time.
+    pub(crate) fn set_activities(&mut self, time: &[VirtualDuration; Activity::COUNT]) {
+        let at = |a: Activity| time[a as usize];
+        self.poll = at(Activity::Poll);
+        self.thread = at(Activity::Thread);
+        self.token = at(Activity::TokenRun);
+        self.steal = at(Activity::Steal);
+        self.retransmit = at(Activity::Retransmit);
+        self.hedge = at(Activity::Hedge);
+        self.heartbeat = at(Activity::Heartbeat);
+        self.checkpoint = at(Activity::Checkpoint);
+        self.recover = at(Activity::Recover);
+        self.su = at(Activity::Su);
+    }
+
     pub(crate) fn add_msg(&mut self, class: Option<OpClass>, cost: VirtualDuration) {
         let c = match class {
             Some(OpClass::Sync) => &mut self.sync_msgs,
@@ -102,7 +119,9 @@ impl NodeProfile {
     }
 }
 
-/// Live collection state inside the runtime.
+/// Live collection state inside the runtime. Only the per-class message
+/// costs accrue here; the activity fields are copied from the nodes'
+/// per-activity time when the profile is taken.
 #[derive(Default)]
 pub(crate) struct ProfileState {
     pub(crate) nodes: Vec<NodeProfile>,

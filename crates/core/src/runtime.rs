@@ -19,7 +19,7 @@ use crate::payload::Payload;
 use crate::profile::{ProfileState, RunProfile};
 use crate::recover::{Health, RecoverState};
 use crate::reli::{Envelope, Pending, ReliLayer, ACK_WIRE, ENV_BYTES};
-use crate::report::RunReport;
+use crate::report::{NodeStats, RunReport};
 use crate::slow::{SlowState, SlowTransition};
 use crate::trace::{Activity, Span, Trace};
 use crate::traffic::{Admission, Discipline, JobArrival, OverloadPolicy, TrafficState};
@@ -286,9 +286,15 @@ impl Runtime {
 
     /// Take the collected profile (empty if profiling was never enabled).
     pub fn take_profile(&mut self) -> RunProfile {
+        let enabled = self.profile.is_some();
         let st = self.profile.take().unwrap_or_default();
         let mut nodes = st.nodes;
         nodes.resize(self.nodes.len(), Default::default());
+        if enabled {
+            for (p, n) in nodes.iter_mut().zip(&self.nodes) {
+                p.set_activities(&n.time);
+            }
+        }
         RunProfile {
             nodes,
             trace: self.take_trace(),
@@ -611,7 +617,15 @@ impl Runtime {
             elapsed: self.last_activity.since(VirtualTime::ZERO),
             events: self.processed,
             marks: self.marks.clone(),
-            nodes: self.nodes.iter().map(|n| n.stats.clone()).collect(),
+            nodes: self
+                .nodes
+                .iter()
+                .map(|n| NodeStats {
+                    busy: n.eu_time(),
+                    su_time: n.time[Activity::Su as usize],
+                    ..n.stats.clone()
+                })
+                .collect(),
             net_messages: net.messages,
             net_bytes: net.bytes,
             link_waits: net.link_waits,
@@ -876,17 +890,7 @@ impl Runtime {
         let n = &mut self.nodes[node.index()];
         n.stats.hedges_sent += 1;
         n.stats.msgs_out += 1;
-        n.stats.busy += cost;
-        self.last_activity = self.last_activity.max_of(t + cost);
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(node, t, t + cost, Activity::Hedge);
-        }
-        if let Some(prof) = self.profile.as_mut() {
-            prof.nodes[node.index()].hedge += cost;
-        }
-        if let Some(rec) = self.recover.as_mut() {
-            rec.busy_since_ckpt[node.index()] += cost;
-        }
+        self.charge(node, t, cost, Activity::Hedge);
         // Re-send under the *same* envelope, bypassing transmit_reliable:
         // the sequence number, attempt counter, and deadline all stay
         // put, so with the plane disabled nothing here ever runs and the
@@ -939,23 +943,17 @@ impl Runtime {
         rec.suspected_dead[node] = false;
         let replay = rec.restore_cost + rec.lost_work[node];
         rec.lost_work[node] = VirtualDuration::ZERO;
-        // The replay ends in crash-time state, freshly re-checkpointed.
-        rec.busy_since_ckpt[node] = VirtualDuration::ZERO;
         let down_since = rec.down_since[node];
         let nid = NodeId(node as u16);
         let n = &mut self.nodes[node];
         n.stats.recoveries += 1;
         n.stats.downtime += (t + replay).since(down_since);
-        n.stats.busy += replay;
         n.busy = true;
         n.wake_pending = true;
-        self.last_activity = self.last_activity.max_of(t + replay);
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(nid, t, t + replay, Activity::Recover);
-        }
-        if let Some(prof) = self.profile.as_mut() {
-            prof.nodes[node].recover += replay;
-        }
+        self.charge(nid, t, replay, Activity::Recover);
+        // The replay ends in crash-time state, freshly re-checkpointed:
+        // the meter resets after the charge, so the replay is not lost work.
+        self.recover.as_mut().unwrap().busy_since_ckpt[node] = VirtualDuration::ZERO;
         self.events.push(t + replay, Event::Wake(nid));
     }
 
@@ -982,16 +980,8 @@ impl Runtime {
         for &m in &live {
             let m = m as usize;
             let (monitor, target) = (NodeId(m as u16), crate::recover::ring_successor(m, total));
-            let n = &mut self.nodes[m];
-            n.stats.heartbeats += 1;
-            n.stats.busy += cost;
-            self.last_activity = self.last_activity.max_of(t + cost);
-            if let Some(tr) = self.trace.as_mut() {
-                tr.record(monitor, t, t + cost, Activity::Heartbeat);
-            }
-            if let Some(prof) = self.profile.as_mut() {
-                prof.nodes[m].heartbeat += cost;
-            }
+            self.nodes[m].stats.heartbeats += 1;
+            self.charge(monitor, t, cost, Activity::Heartbeat);
             let sent = t + cost;
             // A probe starts a fresh dependency chain: nothing the
             // application does ever waits on one.
@@ -1020,31 +1010,21 @@ impl Runtime {
             return; // stand down with the detector
         }
         let (every, cost) = (rec.checkpoint_every, rec.checkpoint_cost);
-        // Hoist the crash-plane borrow: snapshot the live list (down
-        // nodes have nothing to capture; recovery re-checkpoints them)
-        // and reset every lost-work meter in one pass, instead of
-        // re-borrowing `self.recover` per node inside the stats loop.
+        // Snapshot the live list (down nodes have nothing to capture;
+        // recovery re-checkpoints them), charge each capture, then reset
+        // the lost-work meters: the capture itself is saved, not lost.
         let mut live = std::mem::take(&mut self.tick_scratch);
         live.clear();
         live.extend_from_slice(&rec.live);
+        for &i in &live {
+            self.nodes[i as usize].stats.checkpoints += 1;
+            if !cost.is_zero() {
+                self.charge(NodeId(i), t, cost, Activity::Checkpoint);
+            }
+        }
         let rec = self.recover.as_mut().unwrap();
         for &i in &live {
             rec.busy_since_ckpt[i as usize] = VirtualDuration::ZERO;
-        }
-        for &i in &live {
-            let i = i as usize;
-            let n = &mut self.nodes[i];
-            n.stats.checkpoints += 1;
-            if !cost.is_zero() {
-                n.stats.busy += cost;
-                self.last_activity = self.last_activity.max_of(t + cost);
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.record(NodeId(i as u16), t, t + cost, Activity::Checkpoint);
-                }
-                if let Some(prof) = self.profile.as_mut() {
-                    prof.nodes[i].checkpoint += cost;
-                }
-            }
         }
         self.tick_scratch = live;
         self.events.push(t + every, Event::CkptTick);
@@ -1149,18 +1129,7 @@ impl Runtime {
                 token.cp + elapsed,
             );
         }
-        let n = &mut self.nodes[monitor.index()];
-        n.stats.busy += elapsed;
-        self.last_activity = self.last_activity.max_of(t + elapsed);
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(monitor, t, t + elapsed, Activity::Recover);
-        }
-        if let Some(prof) = self.profile.as_mut() {
-            prof.nodes[monitor.index()].recover += elapsed;
-        }
-        if let Some(rec) = self.recover.as_mut() {
-            rec.busy_since_ckpt[monitor.index()] += elapsed;
-        }
+        self.charge(monitor, t, elapsed, Activity::Recover);
     }
 
     fn wake(&mut self, t: VirtualTime, node: NodeId) {
@@ -1235,7 +1204,6 @@ impl Runtime {
             let cost = scale(self.handle_msg(t + elapsed, node, msg, cp_in, arrived));
             self.max_cp = self.max_cp.max(cp_in + cost);
             if dual {
-                self.nodes[node.index()].stats.su_time += cost;
                 su_round += cost;
             } else {
                 elapsed += cost;
@@ -1248,25 +1216,11 @@ impl Runtime {
             // The SU keeps the node's clock honest: a run whose final
             // activity is SU-side message handling still ends then, not at
             // the EU's last instruction.
-            self.last_activity = self.last_activity.max_of(t + su_round);
-            if let Some(prof) = self.profile.as_mut() {
-                let p = &mut prof.nodes[node.index()];
-                p.su += su_round;
-                prof.su_spans.push(Span {
-                    node,
-                    start: t,
-                    end: t + su_round,
-                    what: Activity::Su,
-                });
-            }
-        }
-
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(node, t, t + elapsed, Activity::Poll);
+            self.charge(node, t, su_round, Activity::Su);
         }
         let after_poll = elapsed;
-        if let Some(prof) = self.profile.as_mut() {
-            prof.nodes[node.index()].poll += after_poll;
+        if !after_poll.is_zero() {
+            self.charge(node, t, after_poll, Activity::Poll);
         }
 
         // Retransmission service (fault plans only): the polling watchdog
@@ -1304,12 +1258,12 @@ impl Runtime {
         }
         let after_retr = elapsed;
         if after_retr > after_poll {
-            if let Some(tr) = self.trace.as_mut() {
-                tr.record(node, t + after_poll, t + after_retr, Activity::Retransmit);
-            }
-            if let Some(prof) = self.profile.as_mut() {
-                prof.nodes[node.index()].retransmit += after_retr - after_poll;
-            }
+            self.charge(
+                node,
+                t + after_poll,
+                after_retr - after_poll,
+                Activity::Retransmit,
+            );
         }
 
         let mut activity = Activity::Poll;
@@ -1331,47 +1285,55 @@ impl Runtime {
             elapsed += scale(self.try_steal(t, node));
             activity = Activity::Steal;
         }
-        if let Some(tr) = self.trace.as_mut() {
-            if elapsed > after_retr {
-                tr.record(node, t + after_retr, t + elapsed, activity);
-            }
-        }
-        if let Some(prof) = self.profile.as_mut() {
-            let run = elapsed - after_retr;
-            if !run.is_zero() {
-                let p = &mut prof.nodes[node.index()];
-                match activity {
-                    Activity::Thread => p.thread += run,
-                    Activity::TokenRun => p.token += run,
-                    Activity::Steal => p.steal += run,
-                    Activity::Poll
-                    | Activity::Su
-                    | Activity::Retransmit
-                    | Activity::Hedge
-                    | Activity::Heartbeat
-                    | Activity::Checkpoint
-                    | Activity::Recover => {
-                        unreachable!("no post-poll work")
-                    }
-                }
-            }
+        if elapsed > after_retr {
+            self.charge(node, t + after_retr, elapsed - after_retr, activity);
         }
 
         let n = &mut self.nodes[node.index()];
         if !elapsed.is_zero() {
             n.busy = true;
             n.wake_pending = true;
-            n.stats.busy += elapsed;
-            let end = t + elapsed;
-            self.last_activity = self.last_activity.max_of(end);
-            self.events.push(end, Event::Wake(node));
-            if let Some(rec) = self.recover.as_mut() {
-                // Work done since the last checkpoint: what a crash right
-                // now would force the recovery replay to re-execute.
-                rec.busy_since_ckpt[node.index()] += elapsed;
-            }
+            self.events.push(t + elapsed, Event::Wake(node));
         }
         // else: idle; a Deliver or a poke will wake us.
+    }
+
+    /// Book `d` of `node`'s processor time, starting at `start`, to
+    /// `what`. This is the one writer of the node's per-activity time
+    /// (which the report's busy and SU times and earth-profile's
+    /// decomposition read), of the run's `last_activity`, of the trace
+    /// span (earth-profile's SU span for [`Activity::Su`]) and of the
+    /// crash plane's lost-work meter. A zero `d` still moves
+    /// `last_activity` to `start`; callers that must not move it guard.
+    ///
+    /// The meter collects what a crash right now would force recovery to
+    /// re-execute: all Execution Unit time since the node's last
+    /// checkpoint except heartbeat probes, which the detector sends on
+    /// its own clock rather than as part of the application's work. SU
+    /// time is not EU time and never enters it.
+    fn charge(&mut self, node: NodeId, start: VirtualTime, d: VirtualDuration, what: Activity) {
+        self.nodes[node.index()].time[what as usize] += d;
+        let end = start + d;
+        self.last_activity = self.last_activity.max_of(end);
+        if what == Activity::Su {
+            if let Some(prof) = self.profile.as_mut() {
+                prof.su_spans.push(Span {
+                    node,
+                    start,
+                    end,
+                    what,
+                });
+            }
+            return;
+        }
+        if let Some(tr) = self.trace.as_mut() {
+            tr.record(node, start, end, what);
+        }
+        if what != Activity::Heartbeat {
+            if let Some(rec) = self.recover.as_mut() {
+                rec.busy_since_ckpt[node.index()] += d;
+            }
+        }
     }
 
     /// Re-sync `token_holders` membership for one node after its token

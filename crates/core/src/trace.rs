@@ -41,6 +41,12 @@ pub enum Activity {
     Su,
 }
 
+impl Activity {
+    /// Number of activities: the length of a node's per-activity time
+    /// array, indexed by `activity as usize`.
+    pub(crate) const COUNT: usize = 10;
+}
+
 /// One recorded busy interval.
 #[derive(Clone, Copy, Debug)]
 pub struct Span {

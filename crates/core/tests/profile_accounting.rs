@@ -1,14 +1,15 @@
 //! earth-profile integration tests: the overhead decomposition must sum
 //! nanosecond-exact to the run report's counters, profiling must be free
 //! in virtual time, the critical path must bound below the elapsed time,
-//! and the dual-processor clock must count SU completions.
+//! and the dual-processor clock must count SU completions. The first two
+//! hold under every fault plane as well as on clean runs.
 
-use earth_machine::MachineConfig;
+use earth_machine::{FaultPlan, MachineConfig};
 use earth_rt::{
-    ArgsReader, ArgsWriter, Ctx, GlobalAddr, NodeId, RunProfile, RunReport, Runtime, SlotId,
-    ThreadId, ThreadedFn,
+    ArgsReader, ArgsWriter, Ctx, GlobalAddr, NodeId, NodeProfile, RunProfile, RunReport, Runtime,
+    SlotId, ThreadId, ThreadedFn,
 };
-use earth_sim::VirtualDuration;
+use earth_sim::{VirtualDuration, VirtualTime};
 
 /// A token body that fetches 8 bytes from node 0, computes on them, and
 /// pushes a result byte back — exercising sync-class requests, async
@@ -53,6 +54,16 @@ fn workload(dual: bool, profile: bool, seed: u64) -> (RunReport, Option<RunProfi
     } else {
         MachineConfig::manna(4).with_jitter(0.05)
     };
+    fetchers(cfg, seed, 12, profile)
+}
+
+/// `tokens` fetcher tokens, all injected on node 0, on the machine `cfg`.
+fn fetchers(
+    cfg: MachineConfig,
+    seed: u64,
+    tokens: u32,
+    profile: bool,
+) -> (RunReport, Option<RunProfile>) {
     let mut rt = Runtime::new(cfg, seed);
     if profile {
         rt.enable_profile();
@@ -61,7 +72,7 @@ fn workload(dual: bool, profile: bool, seed: u64) -> (RunReport, Option<RunProfi
     rt.write_mem(src, &7.5f64.to_le_bytes());
     let dst = rt.alloc_on(NodeId(0), 16);
     let fetcher = rt.register("fetcher", fetcher_ctor);
-    for i in 0..12u32 {
+    for i in 0..tokens {
         let mut a = ArgsWriter::new();
         a.addr(src).addr(dst.plus(i % 16));
         rt.inject_token(fetcher, a.finish());
@@ -234,4 +245,91 @@ fn dual_mode_elapsed_counts_su_completion() {
     );
     // Offloading must still never slow the run down.
     assert!(dual.elapsed <= single.elapsed);
+}
+
+fn at_us(us: u64) -> VirtualTime {
+    VirtualTime::ZERO + VirtualDuration::from_us(us)
+}
+
+/// Run the fetcher workload under `cfg` plain and profiled: the profile
+/// must decompose the report ns-exact, and the two reports must agree
+/// byte for byte.
+fn profiled_under(name: &str, cfg: MachineConfig) -> (RunReport, RunProfile) {
+    let (plain, _) = fetchers(cfg.clone(), 7, 240, false);
+    let (report, prof) = fetchers(cfg, 7, 240, true);
+    let prof = prof.unwrap();
+    assert_eq!(
+        format!("{plain:?}"),
+        format!("{report:?}"),
+        "{name}: profiling changed the run"
+    );
+    if let Err(e) = prof.check(&report) {
+        panic!("{name}: {e}");
+    }
+    (report, prof)
+}
+
+fn some_node(prof: &RunProfile, f: fn(&NodeProfile) -> VirtualDuration) -> bool {
+    prof.nodes.iter().any(|p| !f(p).is_zero())
+}
+
+#[test]
+fn decomposition_is_exact_under_lossy_duplicating_links() {
+    let plan = FaultPlan::new().with_drop(0.05).with_duplicate(0.05);
+    let (report, prof) = profiled_under("lossy", MachineConfig::manna(8).with_faults(plan));
+    assert!(report.net_dropped > 0 && report.net_duplicated > 0);
+    assert!(some_node(&prof, |p| p.retransmit), "no retransmit time");
+}
+
+#[test]
+fn decomposition_is_exact_across_a_crash_and_scheduled_restart() {
+    let plan = FaultPlan::new()
+        .with_crash_restart(3, at_us(600), at_us(1_200))
+        .with_heartbeat_every(VirtualDuration::from_us(100))
+        .with_checkpoint_every(VirtualDuration::from_us(200));
+    let (report, prof) = profiled_under("crash-restart", MachineConfig::manna(8).with_faults(plan));
+    assert_eq!(report.nodes[3].recoveries, 1);
+    assert!(some_node(&prof, |p| p.heartbeat), "no heartbeat time");
+    assert!(some_node(&prof, |p| p.checkpoint), "no checkpoint time");
+    assert!(!prof.nodes[3].recover.is_zero(), "no recovery time");
+}
+
+#[test]
+fn decomposition_is_exact_across_a_failover_crash() {
+    let plan = FaultPlan::new()
+        .with_node_crash(5, at_us(600))
+        .with_heartbeat_every(VirtualDuration::from_us(100))
+        .with_suspect_after(VirtualDuration::from_us(300))
+        .with_checkpoint_every(VirtualDuration::from_us(200));
+    let (report, prof) = profiled_under("failover", MachineConfig::manna(8).with_faults(plan));
+    assert_eq!(report.nodes[5].recoveries, 1);
+    assert!(!prof.nodes[5].recover.is_zero(), "no recovery time");
+}
+
+#[test]
+fn decomposition_is_exact_under_slowdown_with_straggler_defenses() {
+    let plan = FaultPlan::new()
+        .with_node_slowdown(2, at_us(50), at_us(1_000_000), 8.0)
+        .with_slow_detector(3.0, 3)
+        .with_hedging(0.5)
+        .with_quarantine(VirtualDuration::from_us(2_000))
+        .with_speculative_rehoming();
+    let (report, prof) = profiled_under("straggler", MachineConfig::manna(8).with_faults(plan));
+    assert!(report.nodes.iter().any(|n| n.hedges_sent > 0));
+    assert!(some_node(&prof, |p| p.hedge), "no hedge time");
+    // Quarantine re-homes a quarantined node's queued tokens, charged
+    // as recovery time on the node that re-homes them.
+    assert!(report.nodes.iter().any(|n| n.speculated > 0));
+    assert!(some_node(&prof, |p| p.recover), "no re-homing time");
+}
+
+#[test]
+fn decomposition_is_exact_in_dual_processor_mode_under_loss() {
+    let plan = FaultPlan::new().with_drop(0.05);
+    let cfg = MachineConfig::manna(8)
+        .with_dual_processor()
+        .with_faults(plan);
+    let (_, prof) = profiled_under("dual", cfg);
+    assert!(some_node(&prof, |p| p.su), "no SU time");
+    assert!(some_node(&prof, |p| p.retransmit), "no retransmit time");
 }

@@ -29,6 +29,13 @@ cargo run --release --offline --example chaos_smoke >/dev/null
 echo "== format =="
 cargo fmt --check
 
+echo "== host clock (read only by the testkit bench runner; simulated time stays deterministic) =="
+if grep -rnE 'Instant::now|SystemTime|std::time' crates src tests examples |
+    grep -v '^crates/testkit/src/bench\.rs:'; then
+    echo "host clock read outside crates/testkit/src/bench.rs"
+    exit 1
+fi
+
 echo "== primitives bench smoke (1 iteration per benchmark) =="
 cargo bench --offline -p earth-bench --bench primitives -- --smoke >/dev/null
 

@@ -20,7 +20,6 @@
 //! | [`sim`] | `earth-sim` | virtual time, deterministic event queue, PRNG, statistics |
 //! | [`machine`] | `earth-machine` | MANNA topology, network timing, EARTH vs message-passing cost models |
 //! | [`rt`] | `earth-rt` | the EARTH runtime: frames, threads, sync slots, split-phase ops, tokens |
-//! | [`msgpass`] | `earth-msgpass` | the two-sided message-passing baseline library |
 //! | [`algebra`] | `earth-algebra` | polynomials over GF(32003), Buchberger completion, benchmark inputs |
 //! | [`linalg`] | `earth-linalg` | tridiagonal matrices, Sturm counts, bisection eigensolver |
 //! | [`nn`] | `earth-nn` | feedforward networks, backprop, unit slicing, i860 cost model |
@@ -44,7 +43,6 @@ pub use earth_algebra as algebra;
 pub use earth_apps as apps;
 pub use earth_linalg as linalg;
 pub use earth_machine as machine;
-pub use earth_msgpass as msgpass;
 pub use earth_nn as nn;
 pub use earth_rt as rt;
 pub use earth_sim as sim;

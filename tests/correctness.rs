@@ -7,7 +7,6 @@ use earth_manna::algebra::inputs::{cyclic, katsura, lazard};
 use earth_manna::apps::eigen::{run_eigen, FetchMode};
 use earth_manna::apps::groebner::run_groebner;
 use earth_manna::apps::neural::{run_neural, CommsShape, PassMode};
-use earth_manna::apps::search::{saw, tsp};
 use earth_manna::linalg::bisect::bisect_all;
 use earth_manna::linalg::SymTridiagonal;
 use earth_manna::nn::net::Mlp;
@@ -118,25 +117,6 @@ fn neural_both_comm_shapes_compute_the_same_function() {
     let a = run_neural(units, 6, 2, 3, PassMode::Forward, CommsShape::Sequential);
     let b = run_neural(units, 6, 2, 3, PassMode::Forward, CommsShape::Tree);
     assert_eq!(a.outputs, b.outputs);
-}
-
-#[test]
-fn tsp_optimum_is_schedule_independent() {
-    let d = tsp::Distances::random(9, 17);
-    let seq = tsp::solve_sequential(&d);
-    for (nodes, seed) in [(2u16, 0u64), (5, 1), (10, 2), (16, 3)] {
-        let run = tsp::solve_parallel(&d, nodes, seed);
-        assert_eq!(run.best, seq.best, "nodes={nodes} seed={seed}");
-    }
-}
-
-#[test]
-fn saw_counts_are_schedule_independent() {
-    let want = saw::count_sequential(7);
-    for (nodes, split) in [(1u16, 2u32), (4, 3), (9, 4), (16, 1)] {
-        let run = saw::count_parallel(7, split, nodes, nodes as u64);
-        assert_eq!(run.count, want, "nodes={nodes} split={split}");
-    }
 }
 
 mod generated_correctness {
