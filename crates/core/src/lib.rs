@@ -90,7 +90,7 @@ pub use frame::ThreadedFn;
 pub use msg::FuncId;
 pub use payload::Payload;
 pub use profile::{ClassCost, NodeProfile, RunProfile};
-pub use report::{NodeStats, RunReport};
+pub use report::{EventCounts, NodeStats, RunReport};
 pub use runtime::Runtime;
 pub use trace::{Activity, Span, Trace};
 pub use traffic::{

@@ -259,7 +259,7 @@ impl RunProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::NodeStats;
+    use crate::report::{EventCounts, NodeStats};
 
     fn us(n: u64) -> VirtualDuration {
         VirtualDuration::from_us(n)
@@ -304,6 +304,7 @@ mod tests {
             leftover_tokens: 0,
             live_frames: 0,
             peak_queue_depth: 0,
+            event_counts: EventCounts::default(),
             traffic: None,
         };
         (profile, report)

@@ -65,6 +65,62 @@ pub struct NodeStats {
     pub speculated: u64,
 }
 
+/// The events a run processed, by kind, and the outcomes of three kinds
+/// that did nothing. Counts only: like
+/// [`RunReport::peak_queue_depth`], they stay out of `Display`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Message arrivals at a NIC.
+    pub deliver: u64,
+    /// Scheduling rounds.
+    pub wake: u64,
+    /// Retransmission-deadline checks (fault plans only).
+    pub retry_check: u64,
+    /// Crash-window starts (crash plans only).
+    pub crash: u64,
+    /// Crash-window recoveries (crash plans only).
+    pub recover: u64,
+    /// Failure-detector rounds (crash plans only).
+    pub probe_tick: u64,
+    /// Checkpoint rounds (crash plans only).
+    pub ckpt_tick: u64,
+    /// Suspicion alarms (crash plans only).
+    pub detect_check: u64,
+    /// Job arrivals at the admission front-end (traffic plans only).
+    pub job_arrive: u64,
+    /// Job completions (traffic plans only).
+    pub job_done: u64,
+    /// Refused jobs presenting again (overload policies only).
+    pub job_retry: u64,
+    /// Hedge timers (straggler defenses only).
+    pub hedge_check: u64,
+    /// `Wake` rounds that ran and charged no EU or SU time (a wake on a
+    /// down or paused node runs no round).
+    pub idle_wakes: u64,
+    /// `RetryCheck`s that found no deadline due.
+    pub stale_retry_checks: u64,
+    /// `HedgeCheck`s that returned without hedging.
+    pub stale_hedge_checks: u64,
+}
+
+impl EventCounts {
+    /// Events of every kind: [`RunReport::events`].
+    pub fn total(&self) -> u64 {
+        self.deliver
+            + self.wake
+            + self.retry_check
+            + self.crash
+            + self.recover
+            + self.probe_tick
+            + self.ckpt_tick
+            + self.detect_check
+            + self.job_arrive
+            + self.job_done
+            + self.job_retry
+            + self.hedge_check
+    }
+}
+
 /// Result of running a simulation to quiescence.
 #[derive(Clone, Debug)]
 pub struct RunReport {
@@ -101,6 +157,9 @@ pub struct RunReport {
     /// observation of the schedule, absent from `Display` so report
     /// goldens are unaffected.
     pub peak_queue_depth: u64,
+    /// [`Self::events`] by kind, with the no-op outcomes. Absent from
+    /// `Display`, so report goldens are unaffected.
+    pub event_counts: EventCounts,
     /// Traffic-plane lifecycle accounting — `Some` exactly when a
     /// non-empty traffic plan was installed (batch runs stay `None` and
     /// render identically to before the plane existed).
@@ -352,6 +411,7 @@ mod tests {
             leftover_tokens: 0,
             live_frames: 0,
             peak_queue_depth: 7,
+            event_counts: EventCounts::default(),
             traffic: None,
         }
     }

@@ -19,7 +19,7 @@ use crate::payload::Payload;
 use crate::profile::{ProfileState, RunProfile};
 use crate::recover::{Health, RecoverState};
 use crate::reli::{Envelope, Pending, ReliLayer, ACK_WIRE, ENV_BYTES};
-use crate::report::{NodeStats, RunReport};
+use crate::report::{EventCounts, NodeStats, RunReport};
 use crate::slow::{SlowState, SlowTransition};
 use crate::trace::{Activity, Span, Trace};
 use crate::traffic::{Admission, Discipline, JobArrival, OverloadPolicy, TrafficState};
@@ -33,9 +33,9 @@ pub const NODE_MEMORY: usize = 32 << 20;
 /// guard for protocol bugs, far above any legitimate experiment).
 pub const DEFAULT_MAX_EVENTS: u64 = 200_000_000;
 
-/// One scheduled occurrence. Every variant fits in 16 bytes, so a heap
-/// entry with its `(time, seq)` key is 32; a message body lives in the
-/// runtime's [`InFlight`] slab and its `Deliver` carries only the slot.
+/// One scheduled occurrence. Every variant fits in 16 bytes, so a queue
+/// entry with its time is 24; a message body lives in the runtime's
+/// [`InFlight`] slab and its `Deliver` carries only the slot.
 pub(crate) enum Event {
     /// A message arriving at a node's NIC: index of its [`Arrival`] in
     /// the in-flight slab, emptied when the event pops.
@@ -104,7 +104,7 @@ struct Arrival {
 /// filled when its event is pushed and emptied when it pops; freed slots
 /// are reused last in, first out, so the slab grows only to the most
 /// deliveries ever in flight at once. Slot numbers never reach the
-/// queue's `(time, seq)` order, so they move host memory only.
+/// queue's order (time, then push order), so they move host memory only.
 #[derive(Default)]
 struct InFlight {
     slots: Vec<Option<Arrival>>,
@@ -141,7 +141,7 @@ type Ctor = Box<dyn Fn(&mut ArgsReader<'_>) -> Box<dyn ThreadedFn>>;
 pub struct Runtime {
     pub(crate) nodes: Vec<Node>,
     pub(crate) net: Network,
-    /// Pending events, popped in `(time, push order)` order. A binary
+    /// Pending events, popped in `(time, push order)` order. A radix
     /// heap: every event, report and golden is a function of that order
     /// alone, so the queue's layout moves host time and memory only.
     pub(crate) events: EventQueue<Event>,
@@ -153,6 +153,8 @@ pub struct Runtime {
     pub(crate) marks: Vec<(String, VirtualTime)>,
     last_activity: VirtualTime,
     processed: u64,
+    /// What `processed` was made of, by kind and no-op outcome.
+    counts: EventCounts,
     max_events: u64,
     /// Master switch for the dynamic load balancer.
     pub(crate) stealing_enabled: bool,
@@ -251,6 +253,7 @@ impl Runtime {
             marks: Vec::new(),
             last_activity: VirtualTime::ZERO,
             processed: 0,
+            counts: EventCounts::default(),
             max_events: DEFAULT_MAX_EVENTS,
             stealing_enabled: true,
             trace: None,
@@ -590,6 +593,21 @@ impl Runtime {
                 "runaway simulation: {} events processed",
                 self.processed
             );
+            let c = &mut self.counts;
+            *match ev {
+                Event::Deliver(_) => &mut c.deliver,
+                Event::Wake(_) => &mut c.wake,
+                Event::RetryCheck(_) => &mut c.retry_check,
+                Event::Crash(_) => &mut c.crash,
+                Event::Recover(_) => &mut c.recover,
+                Event::ProbeTick => &mut c.probe_tick,
+                Event::CkptTick => &mut c.ckpt_tick,
+                Event::DetectCheck { .. } => &mut c.detect_check,
+                Event::JobArrive(_) => &mut c.job_arrive,
+                Event::JobDone(_) => &mut c.job_done,
+                Event::JobRetry(_) => &mut c.job_retry,
+                Event::HedgeCheck { .. } => &mut c.hedge_check,
+            } += 1;
             match ev {
                 Event::Deliver(k) => {
                     let a = self.in_flight.take(k);
@@ -636,6 +654,7 @@ impl Runtime {
             leftover_tokens: self.global_tokens,
             live_frames: self.nodes.iter().map(|n| n.frames.live as u64).sum(),
             peak_queue_depth: self.events.peak_len() as u64,
+            event_counts: self.counts,
             traffic: self.traffic.as_ref().map(TrafficState::report),
         }
     }
@@ -846,19 +865,23 @@ impl Runtime {
     }
 
     /// A retransmission deadline for `node` may have passed: wake it if it
-    /// is idle so its watchdog can resend. Stale checks (the message was
-    /// acked, or an earlier round already resent it) cost nothing.
+    /// is idle so its watchdog can resend. A stale check (the message was
+    /// acked, or an earlier round already resent it) changes nothing, but
+    /// it cost a queue push when it was armed and a pop here;
+    /// [`EventCounts::stale_retry_checks`] counts them.
     fn retry_check(&mut self, t: VirtualTime, node: NodeId) {
         let due = self
             .reli
             .as_ref()
             .is_some_and(|r| r.unacked[node.index()].values().any(|p| p.deadline <= t));
-        if due {
-            let n = &mut self.nodes[node.index()];
-            if !n.busy && !n.wake_pending {
-                n.wake_pending = true;
-                self.events.push(t, Event::Wake(node));
-            }
+        if !due {
+            self.counts.stale_retry_checks += 1;
+            return;
+        }
+        let n = &mut self.nodes[node.index()];
+        if !n.busy && !n.wake_pending {
+            n.wake_pending = true;
+            self.events.push(t, Event::Wake(node));
         }
     }
 
@@ -868,22 +891,25 @@ impl Runtime {
     /// re-send the same envelope now — the receiver's watermark dedups
     /// whichever copy loses the race, and the timeout retransmitter's
     /// deadline is deliberately left untouched (the hedge is a bet, not
-    /// a reschedule). Stale checks cost nothing.
+    /// a reschedule). A stale check changes nothing, but it cost a queue
+    /// push when it was armed and a pop here;
+    /// [`EventCounts::stale_hedge_checks`] counts them.
     fn hedge_check(&mut self, t: VirtualTime, node: NodeId, dst: u16, seq: u64) {
         // A down sender hedges nothing; its held messages replay through
-        // the ordinary retransmission path after recovery.
-        if self.recover.as_ref().is_some_and(|r| r.is_down(node)) {
-            return;
-        }
-        let Some(reli) = self.reli.as_mut() else {
+        // the ordinary retransmission path after recovery. Otherwise the
+        // message is stale if it was acked in the meantime (the common
+        // case), the timeout path beat the hedge to it, or it was hedged.
+        let down = self.recover.as_ref().is_some_and(|r| r.is_down(node));
+        let pending = self
+            .reli
+            .as_mut()
+            .filter(|_| !down)
+            .and_then(|r| r.unacked[node.index()].get_mut(&(dst, seq)))
+            .filter(|p| p.attempts == 0 && !p.hedged);
+        let Some(p) = pending else {
+            self.counts.stale_hedge_checks += 1;
             return;
         };
-        let Some(p) = reli.unacked[node.index()].get_mut(&(dst, seq)) else {
-            return; // acked in the meantime: the common, free case
-        };
-        if p.attempts > 0 || p.hedged {
-            return; // the timeout path beat us to it, or already hedged
-        }
         p.hedged = true;
         let (msg, cp) = (p.msg.clone(), p.cp);
         let cost = self.config().earth.op_send;
@@ -1142,6 +1168,9 @@ impl Runtime {
     }
 
     /// One scheduling round: poll, then run one thread / token, or steal.
+    /// A round that charges no EU or SU time counts in
+    /// [`EventCounts::idle_wakes`]; a wake that dies on a down node or
+    /// waits out a pause runs no round.
     fn schedule(&mut self, t: VirtualTime, node: NodeId) {
         // Crash plane: a down node schedules nothing at all. Its Recover
         // event wakes it when the replay completes; stray wakes (pokes,
@@ -1294,8 +1323,10 @@ impl Runtime {
             n.busy = true;
             n.wake_pending = true;
             self.events.push(t + elapsed, Event::Wake(node));
+        } else if su_round.is_zero() {
+            self.counts.idle_wakes += 1;
         }
-        // else: idle; a Deliver or a poke will wake us.
+        // An idle EU waits for a Deliver or a poke to wake it.
     }
 
     /// Book `d` of `node`'s processor time, starting at `start`, to
@@ -1724,10 +1755,12 @@ mod tests {
 
     #[test]
     fn an_event_is_sixteen_bytes() {
-        // Every push and pop moves whole heap entries, so a variant that
-        // carries a `Msg` inline (80 bytes) would triple that traffic for
-        // every kind of event. Message bodies go in the in-flight slab.
+        // Every push and pop moves whole queue entries, so a variant that
+        // carries a `Msg` inline (80 bytes) would nearly quadruple that
+        // traffic for every kind of event. Message bodies go in the
+        // in-flight slab, and a queue entry is the time plus the event.
         assert_eq!(std::mem::size_of::<Event>(), 16);
+        assert_eq!(std::mem::size_of::<(VirtualTime, Event)>(), 24);
     }
 
     /// One unit of fan-out work: fetch 8 bytes from node 0, then invoke a
@@ -1766,7 +1799,8 @@ mod tests {
     }
 
     /// Run 24 [`Fetch`] tokens on 6 nodes under `plan`, then check that
-    /// every delivery handed its in-flight slot back when it popped.
+    /// every delivery handed its in-flight slot back when it popped and
+    /// that the per-kind event counts add up to the events processed.
     fn run_and_check_slab(plan: Option<FaultPlan>) -> RunReport {
         let mut cfg = MachineConfig::manna(6);
         if let Some(p) = plan {
@@ -1795,6 +1829,11 @@ mod tests {
             "a delivery's body outlived its event"
         );
         assert_eq!(rt.in_flight.free.len(), rt.in_flight.slots.len());
+        let c = report.event_counts;
+        assert_eq!(c.total(), report.events, "{c:?}");
+        assert!(c.idle_wakes <= c.wake && c.deliver > 0, "{c:?}");
+        assert!(c.stale_retry_checks <= c.retry_check, "{c:?}");
+        assert!(c.stale_hedge_checks <= c.hedge_check, "{c:?}");
         report
     }
 
@@ -1802,6 +1841,9 @@ mod tests {
     fn in_flight_slots_all_free_after_a_clean_run() {
         let r = run_and_check_slab(None);
         assert!(r.net_messages > 0);
+        // No fault plan arms no timer.
+        let c = r.event_counts;
+        assert_eq!((c.retry_check, c.hedge_check), (0, 0), "{c:?}");
     }
 
     #[test]
@@ -1810,6 +1852,14 @@ mod tests {
         assert!(r.net_dropped > 0 && r.net_duplicated > 0, "{r}");
         let suppressed: u64 = r.nodes.iter().map(|n| n.dup_suppressed).sum();
         assert!(suppressed > 0, "no duplicate reached the dedup check");
+        // Every reliable send arms one check. Those whose message was
+        // acked by then are stale; those past a lost copy's deadline are
+        // not.
+        let c = r.event_counts;
+        assert!(
+            c.stale_retry_checks > 0 && c.stale_retry_checks < c.retry_check,
+            "{c:?}"
+        );
     }
 
     #[test]
@@ -1818,6 +1868,9 @@ mod tests {
         let plan = FaultPlan::new().with_crash_restart(2, us(20), us(300));
         let r = run_and_check_slab(Some(plan));
         assert!(r.net_crash_dropped > 0, "no delivery hit the crashed NIC");
+        let c = r.event_counts;
+        assert_eq!((c.crash, c.recover), (1, 1), "{c:?}");
+        assert!(c.probe_tick > 0 && c.ckpt_tick > 0, "{c:?}");
     }
 
     /// Drive the token-holder index through randomized queue mutations and

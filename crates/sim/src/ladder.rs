@@ -1,8 +1,8 @@
 //! Ladder event queue, kept only for the benchmark's queue-hold probe.
 //!
 //! The runtime does not schedule on this queue: it runs on
-//! [`EventQueue`], the `BinaryHeap` over `(time, seq)`. On the
-//! simulator's own event streams the ladder lost to the heap. Most
+//! [`EventQueue`], now a monotone radix heap. On the simulator's own
+//! event streams the ladder lost to the binary heap before it. Most
 //! runtime pushes land inside the active slice and binary-insert into
 //! the sorted `bottom` tier, so each one shifts hundreds of 96-byte
 //! entries (Katsura-3 on 1024 nodes: 2.91M of 3.31M pushes, 314 entries
@@ -32,14 +32,14 @@
 //!   events (plus all ties with the last timestamp) are pulled out of
 //!   the heap to build a fresh window.
 //!
-//! Determinism: every tier orders by the same `(time, seq)` key as
-//! [`EventQueue`], and the tier boundaries only ever separate events
-//! whose keys already order them (an event in the rung at `t < win_hi`
-//! precedes every heap event at `t >= win_hi`; ties at a saturated
-//! `win_hi` are resolved by `seq`, and later pushes always have larger
-//! `seq`). The differential suite in `tests/queue_diff.rs` checks
-//! pop-for-pop equality against [`EventQueue`] on adversarial
-//! workloads.
+//! Determinism: every tier orders by `(time, seq)`, which is the order
+//! [`EventQueue`] pops in (earliest time, then push order), and the tier
+//! boundaries only ever separate events whose keys already order them
+//! (an event in the rung at `t < win_hi` precedes every heap event at
+//! `t >= win_hi`; ties at a saturated `win_hi` are resolved by `seq`,
+//! and later pushes always have larger `seq`). The differential suite in
+//! `tests/queue_diff.rs` checks both queues pop for pop against a
+//! reference `(time, seq)` binary heap on adversarial workloads.
 
 use crate::order::MinEntry;
 #[cfg(doc)]

@@ -8,11 +8,11 @@
 //!
 //! * [`VirtualTime`] / [`VirtualDuration`] — a nanosecond-resolution clock
 //!   with saturating/checked arithmetic and human-readable formatting;
-//! * [`EventQueue`] — the runtime's event queue: a binary heap of
-//!   timestamped events with a total, reproducible ordering (ties broken by
-//!   insertion sequence number). [`LadderQueue`] pops in the same order; the
-//!   runtime does not use it, and it stays only for perfbench's queue-hold
-//!   probe;
+//! * [`EventQueue`] — the runtime's event queue: a monotone radix heap of
+//!   timestamped events with a total, reproducible ordering (earliest time
+//!   first, ties in push order, with no stored sequence number).
+//!   [`LadderQueue`] pops in the same order; the runtime does not use it,
+//!   and it stays only for perfbench's queue-hold probe;
 //! * [`Rng`] — a small, self-contained xoshiro256** PRNG seeded via
 //!   SplitMix64, so simulations are bit-identical for a given seed
 //!   regardless of dependency versions or platform.

@@ -1,11 +1,13 @@
 //! Shared min-first ordering wrapper for `std::collections::BinaryHeap`.
 //!
 //! Several places in the workspace want a *min*-heap with deterministic
-//! tie-breaking out of the standard library's *max*-heap: the event
-//! queues in this crate order by `(VirtualTime, seq)`, the Buchberger
-//! driver in `earth-algebra` orders critical pairs by `(degree, lcm)`,
-//! and the distributed Gröbner app keeps a per-node copy of the same
-//! order. Each used to hand-roll the reversed `Ord` boilerplate;
+//! tie-breaking out of the standard library's *max*-heap: the ladder
+//! queue's far-future tier orders by `(VirtualTime, seq)` (the runtime's
+//! [`crate::EventQueue`] is a radix heap and stores no `seq`), the
+//! Buchberger driver in `earth-algebra` orders critical pairs by
+//! `(degree, lcm)`, the distributed Gröbner app keeps a per-node copy of
+//! the same order, and `tests/queue_diff.rs` builds its reference heap
+//! from it. Each used to hand-roll the reversed `Ord` boilerplate;
 //! [`MinEntry`] is the one shared inversion.
 //!
 //! Ordering is by `(key, seq)` — smallest key first, smallest sequence

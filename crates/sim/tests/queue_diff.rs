@@ -1,14 +1,46 @@
-//! Differential property suite: `LadderQueue` must pop in *exactly* the
-//! order of the reference `EventQueue` on generated `(time, seq)`
-//! workloads — heavy ties, same-instant bursts, interleaved push/pop,
-//! past-time pushes, and far-future sentinels. The runtime schedules on
-//! `EventQueue`; the ladder is kept only because perfbench's queue-hold
-//! probe times it, and this suite keeps it honest until that probe moves.
+//! Differential property suite: the runtime's `EventQueue` (a radix
+//! heap that stores no sequence number) and `LadderQueue` must each pop
+//! in *exactly* the order of a reference binary heap over `(time, seq)`
+//! on generated workloads — heavy ties, same-instant bursts, interleaved
+//! push/pop, past-time pushes, far-future sentinels, and bursts that
+//! straddle a radix bucket's redistribution. The ladder is kept only
+//! because perfbench's queue-hold probe times it, and this suite keeps
+//! it honest until that probe moves.
 
-use earth_sim::{EventQueue, LadderQueue, Rng, VirtualTime};
+use earth_sim::{EventQueue, LadderQueue, MinEntry, Rng, VirtualTime};
+use std::collections::BinaryHeap;
 
 fn t(ns: u64) -> VirtualTime {
     VirtualTime::from_ns(ns)
+}
+
+/// The oracle: a min-heap over `(time, push sequence)`, which pops the
+/// earliest time first and equal times in push order by construction.
+#[derive(Default)]
+struct Reference {
+    heap: BinaryHeap<MinEntry<VirtualTime, u64>>,
+    next_seq: u64,
+    peak: usize,
+}
+
+impl Reference {
+    fn push(&mut self, time: VirtualTime, item: u64) {
+        self.heap.push(MinEntry::new(time, self.next_seq, item));
+        self.next_seq += 1;
+        self.peak = self.peak.max(self.heap.len());
+    }
+
+    fn pop(&mut self) -> Option<(VirtualTime, u64)> {
+        self.heap.pop().map(|e| (e.key, e.item))
+    }
+
+    fn peek_time(&self) -> Option<VirtualTime> {
+        self.heap.peek().map(|e| e.key)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
 }
 
 /// One generated operation of a queue workload.
@@ -18,48 +50,54 @@ enum Op {
     Pop,
 }
 
-/// Run the same op sequence against both queues, asserting pop-for-pop
-/// and observable-state equality at every step.
+/// Pop once from each queue if `pop`, then compare what each one shows:
+/// the popped entry, `len`, `is_empty` and `peek_time`.
+fn compare(
+    label: &str,
+    step: usize,
+    pop: bool,
+    reference: &mut Reference,
+    radix: &mut EventQueue<u64>,
+    ladder: &mut LadderQueue<u64>,
+) {
+    if pop {
+        let want = reference.pop();
+        assert_eq!(radix.pop(), want, "{label} step {step}: radix pop");
+        assert_eq!(ladder.pop(), want, "{label} step {step}: ladder pop");
+    }
+    let (len, peek) = (reference.len(), reference.peek_time());
+    assert_eq!(radix.len(), len, "{label} step {step}: radix len");
+    assert_eq!(ladder.len(), len, "{label} step {step}: ladder len");
+    assert_eq!(radix.is_empty(), len == 0, "{label} step {step}: is_empty");
+    assert_eq!(radix.peek_time(), peek, "{label} step {step}: radix peek");
+    assert_eq!(ladder.peek_time(), peek, "{label} step {step}: ladder peek");
+}
+
+/// Run the same op sequence against the reference heap, `EventQueue` and
+/// `LadderQueue`, asserting pop-for-pop and observable-state equality at
+/// every step.
 fn check_equivalent(label: &str, ops: &[Op]) {
-    let mut reference = EventQueue::new();
+    let mut reference = Reference::default();
+    let mut radix = EventQueue::new();
     let mut ladder = LadderQueue::new();
     let mut payload = 0u64;
     for (step, op) in ops.iter().enumerate() {
-        match *op {
-            Op::Push(ns) => {
-                reference.push(t(ns), payload);
-                ladder.push(t(ns), payload);
-                payload += 1;
-            }
-            Op::Pop => {
-                let want = reference.pop();
-                let got = ladder.pop();
-                assert_eq!(
-                    got,
-                    want,
-                    "{label}: divergent pop at step {step} of {}",
-                    ops.len()
-                );
-            }
+        if let Op::Push(ns) = *op {
+            reference.push(t(ns), payload);
+            radix.push(t(ns), payload);
+            ladder.push(t(ns), payload);
+            payload += 1;
         }
-        assert_eq!(ladder.len(), reference.len(), "{label}: len at step {step}");
-        assert_eq!(
-            ladder.peek_time(),
-            reference.peek_time(),
-            "{label}: peek at step {step}"
-        );
+        let pop = matches!(op, Op::Pop);
+        compare(label, step, pop, &mut reference, &mut radix, &mut ladder);
     }
-    // Drain whatever is left; the tails must match too.
-    loop {
-        let want = reference.pop();
-        let got = ladder.pop();
-        assert_eq!(got, want, "{label}: divergent pop in final drain");
-        if want.is_none() {
-            break;
-        }
+    // Drain whatever is left, one pop past empty; the tails must match too.
+    for step in ops.len()..=ops.len() + reference.len() {
+        compare(label, step, true, &mut reference, &mut radix, &mut ladder);
     }
+    assert_eq!(radix.peak_len(), reference.peak, "{label}: radix peak");
+    assert_eq!(ladder.peak_len(), reference.peak, "{label}: ladder peak");
     assert_eq!(ladder.total_scheduled(), payload, "{label}: pushes");
-    assert_eq!(ladder.peak_len(), reference.peak_len(), "{label}: peak");
 }
 
 #[test]
@@ -212,26 +250,94 @@ fn full_axis_window_with_max_sentinel() {
 #[test]
 fn heap_and_ladder_agree_on_random_workload() {
     let mut rng = Rng::new(0xD1FF);
-    let mut heap = EventQueue::new();
-    let mut ladder = LadderQueue::new();
-    let mut payload = 0u32;
+    let mut ops = Vec::new();
     for _ in 0..10_000 {
         if rng.gen_range(3) < 2 {
-            let time = t(rng.gen_range(1 << 30));
-            heap.push(time, payload);
-            ladder.push(time, payload);
-            payload += 1;
+            ops.push(Op::Push(rng.gen_range(1 << 30)));
         } else {
-            assert_eq!(heap.pop(), ladder.pop());
-        }
-        assert_eq!(heap.len(), ladder.len());
-    }
-    loop {
-        let a = heap.pop();
-        assert_eq!(a, ladder.pop());
-        if a.is_none() {
-            break;
+            ops.push(Op::Pop);
         }
     }
-    assert_eq!(heap.peak_len(), ladder.peak_len());
+    check_equivalent("random_workload", &ops);
+}
+
+#[test]
+fn equal_time_bursts_straddle_a_redistribution() {
+    // Ties at 1000 are pushed while they share a high radix bucket with
+    // 999 and 1001, then more after popping 999 has spread that bucket
+    // into a lower one, then more again once 1000 is the last popped
+    // time. Every tie must still pop in push order across each spread,
+    // and so must the ties at 1001.
+    let mut ops = Vec::new();
+    for round in 0..3u64 {
+        let base = round * 4096;
+        ops.push(Op::Push(base + 999));
+        for _ in 0..40 {
+            ops.push(Op::Push(base + 1000));
+            ops.push(Op::Push(base + 1001));
+        }
+        ops.push(Op::Pop); // pops base + 999 and spreads its bucket
+        for _ in 0..30 {
+            ops.push(Op::Push(base + 1000));
+            ops.push(Op::Push(base + 1001));
+        }
+        for _ in 0..50 {
+            ops.push(Op::Pop); // into the ties at base + 1000
+        }
+        for _ in 0..10 {
+            ops.push(Op::Push(base + 1000));
+            ops.push(Op::Push(base + 1001));
+            ops.push(Op::Pop);
+        }
+    }
+    check_equivalent("bursts_straddle_redistribution", &ops);
+}
+
+#[test]
+fn times_differing_only_in_bit_63() {
+    // `TOP | low` differs from `low` only in bit 63, so it waits in the
+    // top radix bucket until the low times have popped; spreading that
+    // bucket must keep the ties at `TOP | 5` and `u64::MAX` in push order.
+    const TOP: u64 = 1 << 63;
+    let mut ops = Vec::new();
+    for low in [0u64, 1, 5, 5, u64::MAX >> 1] {
+        ops.push(Op::Push(TOP | low));
+        ops.push(Op::Push(low));
+        ops.push(Op::Push(TOP | low));
+    }
+    ops.push(Op::Push(u64::MAX));
+    for _ in 0..8 {
+        ops.push(Op::Pop);
+    }
+    ops.push(Op::Push(TOP | 5));
+    ops.push(Op::Push(TOP));
+    for _ in 0..10 {
+        ops.push(Op::Pop);
+    }
+    check_equivalent("bit_63", &ops);
+}
+
+#[test]
+fn past_time_push_lands_between_equal_time_ties() {
+    // A push earlier than the last pop re-buckets the whole queue; ties
+    // queued before it and ties pushed after it must keep one push order,
+    // both at the last popped instant and further out.
+    let mut ops = vec![Op::Push(10), Op::Push(10), Op::Push(10)];
+    for _ in 0..4 {
+        ops.push(Op::Push(100));
+    }
+    ops.push(Op::Pop); // last = 10, two ties left at 10
+    ops.push(Op::Push(3)); // past: before the last pop
+    ops.push(Op::Push(10));
+    for _ in 0..4 {
+        ops.push(Op::Push(100));
+    }
+    ops.push(Op::Pop); // the past-time push
+    ops.push(Op::Push(1)); // past again: ties at 10 on both sides of it
+    ops.push(Op::Push(10));
+    ops.push(Op::Push(100));
+    for _ in 0..16 {
+        ops.push(Op::Pop);
+    }
+    check_equivalent("past_between_ties", &ops);
 }

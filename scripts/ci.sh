@@ -55,7 +55,7 @@ for pin in paper_apps:0226ce5ce341459c scale_1024:ec95d2252960371d serve_chaos:a
     fi
 done
 
-echo "== LadderQueue vs EventQueue pop order (perfbench's hold probe times the ladder) =="
+echo "== EventQueue and LadderQueue vs the (time, seq) heap oracle, pop for pop (perfbench's hold probe times the ladder) =="
 cargo test -q --offline -p earth-sim --test queue_diff
 
 echo "== topology scale smoke (256 nodes, every app x interconnect, byte-identical reruns) =="
