@@ -1,4 +1,12 @@
 //! Monomials (exponent vectors) and term orders.
+//!
+//! A [`Monomial`] is a fixed array of [`MAX_VARS`] exponent lanes. In a
+//! ring of arity `n`, every lane at or past `n` is zero.
+//! [`GenPoly::from_terms`](crate::poly::GenPoly::from_terms) rejects a
+//! term that breaks this, and [`Order::cmp`] relies on it: it compares
+//! all eight lanes at once and decides on the first or last lane that
+//! differs, so a stray exponent past the arity would decide a compare
+//! that must ignore it.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -8,7 +16,8 @@ use std::fmt;
 pub const MAX_VARS: usize = 8;
 
 /// A power product `x0^e0 · x1^e1 · …` stored as a fixed exponent vector.
-/// Variables beyond the ring's arity must stay zero.
+/// Variables at or beyond the ring's arity must stay zero (the module
+/// docs say who relies on it).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Monomial {
     /// Exponents.
@@ -62,6 +71,27 @@ impl Monomial {
     /// True when `self` divides `other` componentwise.
     pub fn divides(&self, other: &Monomial) -> bool {
         self.e.iter().zip(&other.e).all(|(a, b)| a <= b)
+    }
+
+    /// Divisibility mask, the "short exponent vector" of Bachmann and
+    /// Schönemann (ISSAC 1998): byte `i` holds variable `i`'s exponent
+    /// in unary, bit `j` set when the exponent exceeds `j`, so exponents
+    /// from 8 up all read `0xFF`. If `self` divides `m`, every bit set
+    /// here is set in `m.divmask()`; a mask bit missing from `m`'s
+    /// therefore proves that `self` does not divide `m`.
+    pub fn divmask(&self) -> u64 {
+        self.e.iter().enumerate().fold(0, |mask, (i, &x)| {
+            mask | ((1u64 << x.min(8)) - 1) << (8 * i)
+        })
+    }
+
+    /// The exponent lanes as one integer, lane `i` in bits `16i..16i+16`.
+    fn lanes(&self) -> u128 {
+        let mut bytes = [0u8; 16];
+        for (pair, e) in bytes.chunks_exact_mut(2).zip(&self.e) {
+            pair.copy_from_slice(&e.to_le_bytes());
+        }
+        u128::from_le_bytes(bytes)
     }
 
     /// `other / self`, if `self` divides it.
@@ -129,30 +159,39 @@ pub enum Order {
 impl Order {
     /// Compare two monomials in this order over the first `nvars`
     /// variables. Returns `Greater` when `a` is the larger monomial.
+    ///
+    /// Both monomials' lanes at or past `nvars` must be zero. After the
+    /// graded orders' degree compare, one XOR finds every lane that
+    /// differs: Lex and GrLex decide on the first of them, GRevLex on the
+    /// last, where the larger exponent makes the smaller monomial. Lanes
+    /// past the arity never differ, so they never decide.
     pub fn cmp(&self, a: &Monomial, b: &Monomial, nvars: usize) -> Ordering {
-        match self {
-            Order::Lex => {
-                for i in 0..nvars {
-                    match a.e[i].cmp(&b.e[i]) {
-                        Ordering::Equal => continue,
-                        other => return other,
-                    }
-                }
-                Ordering::Equal
+        debug_assert!(
+            a.e[nvars..].iter().chain(&b.e[nvars..]).all(|&x| x == 0),
+            "monomial exponent past the ring's arity {nvars}"
+        );
+        if *self != Order::Lex {
+            let by_degree = a.degree().cmp(&b.degree());
+            if by_degree != Ordering::Equal {
+                return by_degree;
             }
-            Order::GrLex => a
-                .degree()
-                .cmp(&b.degree())
-                .then_with(|| Order::Lex.cmp(a, b, nvars)),
-            Order::GRevLex => a.degree().cmp(&b.degree()).then_with(|| {
-                for i in (0..nvars).rev() {
-                    match b.e[i].cmp(&a.e[i]) {
-                        Ordering::Equal => continue,
-                        other => return other,
-                    }
-                }
-                Ordering::Equal
-            }),
+        }
+        let (la, lb) = (a.lanes(), b.lanes());
+        let diff = la ^ lb;
+        if diff == 0 {
+            return Ordering::Equal;
+        }
+        // The exponent in the lane holding bit `bit`.
+        let lane = |x: u128, bit: u32| (x >> (bit & !15)) as u16;
+        match self {
+            Order::Lex | Order::GrLex => {
+                let bit = diff.trailing_zeros();
+                lane(la, bit).cmp(&lane(lb, bit))
+            }
+            Order::GRevLex => {
+                let bit = 127 - diff.leading_zeros();
+                lane(lb, bit).cmp(&lane(la, bit))
+            }
         }
     }
 }

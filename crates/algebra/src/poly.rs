@@ -91,8 +91,17 @@ impl<C: Field> GenPoly<C> {
     }
 
     /// Build from arbitrary (unsorted, possibly duplicated) terms,
-    /// normalizing under `ring`'s order.
+    /// normalizing under `ring`'s order. Panics if a term has a nonzero
+    /// exponent at or past the ring's arity, which the term order's
+    /// compare relies on never happening.
     pub fn from_terms(ring: &Ring, mut terms: Vec<GenTerm<C>>) -> Self {
+        assert!(
+            terms
+                .iter()
+                .all(|t| t.m.e[ring.nvars..].iter().all(|&x| x == 0)),
+            "term has an exponent past the ring's arity {}",
+            ring.nvars
+        );
         terms.sort_by(|a, b| ring.cmp(&b.m, &a.m));
         let mut out: Vec<GenTerm<C>> = Vec::with_capacity(terms.len());
         for t in terms {
@@ -323,6 +332,12 @@ mod tests {
         assert_eq!(p.lead().c, Gf::new(5));
         let q = Poly::from_pairs(&r, &[(1, &[2, 0, 0]), (-1, &[2, 0, 0])]);
         assert!(q.is_zero());
+    }
+
+    #[test]
+    #[should_panic(expected = "past the ring's arity 2")]
+    fn exponent_past_the_arity_is_rejected() {
+        let _ = Poly::from_pairs(&Ring::new(2, Order::Lex), &[(1, &[1, 0, 3])]);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! domain generators (monomials and GF(32003) polynomials).
 
 use earth_algebra::{
-    normal_form, Field, GenPoly, GenTerm, Gf, Monomial, Order, Poly, Rat, Ring, Work,
+    normal_form, Field, GenPoly, GenTerm, Gf, Monomial, Order, Poly, Rat, Ring, Work, MAX_VARS,
 };
 use earth_testkit::domain::{monomial, poly_in};
 use earth_testkit::prelude::*;
+use std::cmp::Ordering;
 
 const NVARS: usize = 4;
 
@@ -196,5 +197,131 @@ props! {
         let f = convert(&r, &f, small);
         let basis: Vec<GenPoly<Rat>> = basis.iter().map(|g| convert(&r, g, small)).collect();
         assert_kernels_agree(&r, &f, &basis)?;
+    }
+}
+
+/// The term-order compare as a loop over the first `nvars` lanes, exiting
+/// at the first lane that decides. `Order::cmp` must agree with it.
+fn reference_cmp(order: Order, a: &Monomial, b: &Monomial, nvars: usize) -> Ordering {
+    let lex = || {
+        for i in 0..nvars {
+            match a.e[i].cmp(&b.e[i]) {
+                Ordering::Equal => continue,
+                other => return other,
+            }
+        }
+        Ordering::Equal
+    };
+    match order {
+        Order::Lex => lex(),
+        Order::GrLex => a.degree().cmp(&b.degree()).then_with(lex),
+        Order::GRevLex => a.degree().cmp(&b.degree()).then_with(|| {
+            for i in (0..nvars).rev() {
+                match b.e[i].cmp(&a.e[i]) {
+                    Ordering::Equal => continue,
+                    other => return other,
+                }
+            }
+            Ordering::Equal
+        }),
+    }
+}
+
+/// An exponent from each class the kernels treat differently: zero,
+/// small, at or past the divisibility mask's clamp at 8, and the largest.
+fn exponent() -> impl Strategy<Value = u16> {
+    prop_oneof![Just(0u16), 1u16..8, 8u16..u16::MAX, Just(u16::MAX)]
+}
+
+/// An arity from 1 to 8 and two monomials in it. Half the pairs are
+/// drawn independently; in the other half `b` is `a` with part of one
+/// lane moved to another, so the degrees tie and the graded orders fall
+/// through to their lane compare (moving nothing gives equal monomials).
+fn monomial_pair() -> impl Strategy<Value = (usize, Monomial, Monomial)> {
+    (1..MAX_VARS + 1)
+        .prop_flat_map(|n| {
+            (
+                collection::vec(exponent(), n),
+                collection::vec(exponent(), n),
+                (0..n, 0..n),
+                any::<bool>(),
+            )
+        })
+        .prop_map(|(a, mut b, (from, to), tie)| {
+            if tie {
+                let moved = b[0].min(a[from]).min(u16::MAX - a[to]);
+                b.clone_from(&a);
+                b[from] -= moved;
+                b[to] += moved;
+            }
+            (a.len(), Monomial::from_exps(&a), Monomial::from_exps(&b))
+        })
+}
+
+/// Two monomials over all eight lanes; in half the pairs the first
+/// divides the second.
+fn mask_pair() -> impl Strategy<Value = (Monomial, Monomial)> {
+    (
+        collection::vec(exponent(), MAX_VARS),
+        collection::vec(exponent(), MAX_VARS),
+        any::<bool>(),
+    )
+        .prop_map(|(a, mut b, divisor)| {
+            if divisor {
+                for (b, a) in b.iter_mut().zip(&a) {
+                    *b = b.saturating_add(*a);
+                }
+            }
+            (Monomial::from_exps(&a), Monomial::from_exps(&b))
+        })
+}
+
+/// True when `d`'s mask leaves `d` possibly a divisor of `m`.
+fn mask_admits(d: &Monomial, m: &Monomial) -> bool {
+    d.divmask() & !m.divmask() == 0
+}
+
+/// What the mask test decides: divisibility with every exponent clamped
+/// at 8.
+fn clamped_divides(d: &Monomial, m: &Monomial) -> bool {
+    d.e.iter().zip(&m.e).all(|(x, y)| x.min(&8) <= y.min(&8))
+}
+
+props! {
+    #![config(Config::with_cases(512))]
+
+    #[test]
+    fn xor_compare_matches_the_loop_compare(pair in monomial_pair()) {
+        let (nvars, a, b) = pair;
+        for order in [Order::Lex, Order::GrLex, Order::GRevLex] {
+            prop_assert_eq!(
+                order.cmp(&a, &b, nvars),
+                reference_cmp(order, &a, &b, nvars),
+                "{:?} over {} variables", order, nvars
+            );
+        }
+    }
+
+    #[test]
+    fn divisibility_mask_never_rejects_a_divisor(pair in mask_pair()) {
+        let (a, b) = pair;
+        if a.divides(&b) {
+            prop_assert!(mask_admits(&a, &b));
+        }
+        prop_assert_eq!(mask_admits(&a, &b), clamped_divides(&a, &b));
+    }
+}
+
+#[test]
+fn divisibility_mask_never_rejects_a_divisor_at_arity_three() {
+    let monos: Vec<Monomial> = (0..1000u16)
+        .map(|k| Monomial::from_exps(&[k / 100, k / 10 % 10, k % 10]))
+        .collect();
+    for a in &monos {
+        for b in &monos {
+            let admits = mask_admits(a, b);
+            assert!(admits || !a.divides(b), "{a:?} divides {b:?}");
+            assert_eq!(admits, clamped_divides(a, b), "{a:?} and {b:?}");
+        }
     }
 }

@@ -10,8 +10,8 @@ cargo build --release --offline --workspace --all-targets
 echo "== tests =="
 cargo test -q --offline --workspace
 
-echo "== nn and apps tests (release: the vectorized f32 kernels exist only in optimized builds) =="
-cargo test -q --release --offline -p earth-nn -p earth-apps
+echo "== nn, apps and algebra tests (release: the vectorized f32 kernels and the optimized term-order and mask kernels meet their oracles) =="
+cargo test -q --release --offline -p earth-nn -p earth-apps -p earth-algebra
 
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
