@@ -186,8 +186,15 @@ impl<C: Field> GenPoly<C> {
     }
 
     /// `self · (c · m)` — multiply by a single term. Term order is
-    /// preserved by multiplicativity, so no re-sort is needed.
-    pub fn mul_term(&self, c: C, m: &Monomial) -> Self {
+    /// preserved by multiplicativity, so no re-sort is needed. Panics,
+    /// like [`GenPoly::from_terms`], if `m` has a nonzero exponent at or
+    /// past `ring`'s arity.
+    pub fn mul_term(&self, ring: &Ring, c: C, m: &Monomial) -> Self {
+        assert!(
+            m.e[ring.nvars..].iter().all(|&x| x == 0),
+            "monomial has an exponent past the ring's arity {}",
+            ring.nvars
+        );
         if c.is_zero() {
             return GenPoly::zero();
         }
@@ -207,7 +214,7 @@ impl<C: Field> GenPoly<C> {
     pub fn mul(&self, ring: &Ring, other: &Self) -> Self {
         let mut acc = GenPoly::zero();
         for t in &other.terms {
-            acc = acc.add(ring, &self.mul_term(t.c, &t.m));
+            acc = acc.add(ring, &self.mul_term(ring, t.c, &t.m));
         }
         acc
     }
@@ -368,10 +375,18 @@ mod tests {
     fn mul_term_preserves_order_without_resort() {
         let r = ring();
         let a = Poly::from_pairs(&r, &[(3, &[2, 1, 0]), (1, &[1, 0, 2]), (7, &[0, 0, 0])]);
-        let shifted = a.mul_term(Gf::new(2), &Monomial::from_exps(&[0, 1, 1]));
+        let shifted = a.mul_term(&r, Gf::new(2), &Monomial::from_exps(&[0, 1, 1]));
         // must equal the from_terms normalization of the same data
         let expect = Poly::from_terms(&r, shifted.terms().to_vec());
         assert_eq!(shifted, expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the ring's arity")]
+    fn mul_term_past_the_arity_is_rejected() {
+        let r = Ring::new(2, Order::Lex);
+        let x0 = Poly::from_pairs(&r, &[(1, &[1, 0])]);
+        let _ = x0.mul_term(&r, Gf::new(1), &Monomial::var(5));
     }
 
     #[test]

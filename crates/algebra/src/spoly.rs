@@ -56,8 +56,8 @@ pub fn s_polynomial<C: Field>(
     let mf = ltf.m.div(&lcm).expect("lt(f) divides lcm");
     let mg = ltg.m.div(&lcm).expect("lt(g) divides lcm");
     // Scale both sides to leading coefficient 1 so they cancel.
-    let a = f.mul_term(ltf.c.inv(), &mf);
-    let b = g.mul_term(ltg.c.inv(), &mg);
+    let a = f.mul_term(ring, ltf.c.inv(), &mf);
+    let b = g.mul_term(ring, ltg.c.inv(), &mg);
     work.coeff_ops += (f.len() + g.len()) as u64;
     work.mono_ops += (f.len() + g.len()) as u64;
     a.sub(ring, &b)

@@ -124,7 +124,7 @@ fn reference_normal_form<C: Field>(
             if gl.m.divides(&lt.m) {
                 let q = gl.m.div(&lt.m).expect("divides");
                 let c = lt.c / gl.c;
-                rest = rest.sub(ring, &g.mul_term(c, &q));
+                rest = rest.sub(ring, &g.mul_term(ring, c, &q));
                 work.coeff_ops += g.len() as u64 + 1;
                 work.mono_ops += g.len() as u64;
                 work.steps += 1;

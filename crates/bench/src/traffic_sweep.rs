@@ -105,10 +105,9 @@ impl TrafficTable {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "Traffic plane: open-loop {}-job streams (seed {STREAM_SEED}), admission limit {}, {} discipline",
+            "Traffic plane: open-loop {}-job streams (seed {STREAM_SEED}), admission limit {}, fifo discipline",
             self.jobs,
-            TrafficPlan::new(0).concurrency,
-            TrafficPlan::new(0).discipline
+            TrafficPlan::new(0).concurrency
         );
         for c in &self.cells {
             let _ = writeln!(

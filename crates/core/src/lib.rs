@@ -94,8 +94,8 @@ pub use report::{EventCounts, NodeStats, RunReport};
 pub use runtime::Runtime;
 pub use trace::{Activity, Span, Trace};
 pub use traffic::{
-    BreakerPolicy, Discipline, JobArrival, JobOutcome, JobRecord, OverloadPolicy, RetryPolicy,
-    SloSummary, TrafficReport,
+    BreakerPolicy, JobArrival, JobOutcome, JobRecord, OverloadPolicy, RetryPolicy, SloSummary,
+    TrafficReport,
 };
 
 pub use earth_machine::NodeId;

@@ -31,13 +31,13 @@
 //!
 //! Every `checkpoint_every` each live node snapshots its frames,
 //! sync-slot counters, memory segments, and queued tokens (buddy
-//! checkpointing; `checkpoint_cost` of EU time per capture). Because
+//! checkpointing; `CHECKPOINT_COST` of EU time per capture). Because
 //! the receiving NIC logs messages before acking them (pessimistic
 //! receiver-side logging) and the simulation is deterministic, a
 //! restarted node's replay reconstructs *exactly* the state it held
 //! when it crashed: results are bit-identical, only virtual time
 //! degrades. The simulator therefore keeps the Rust-side state in
-//! place and charges recovery its honest price — `restore_cost` plus
+//! place and charges recovery its honest price — `RESTORE_COST` plus
 //! re-executing every cycle of work done since the last checkpoint —
 //! with the dedup watermarks in `reli` making replayed INVOKE / TOKEN /
 //! BLKMOV traffic idempotent.
@@ -47,6 +47,13 @@
 
 use earth_machine::{FaultPlan, NodeId};
 use earth_sim::{VirtualDuration, VirtualTime};
+
+/// EU time one checkpoint capture costs a node.
+pub(crate) const CHECKPOINT_COST: VirtualDuration = VirtualDuration::from_us(20);
+
+/// EU time restoring a checkpoint costs a recovering node, on top of
+/// re-executing the work lost since that checkpoint.
+pub(crate) const RESTORE_COST: VirtualDuration = VirtualDuration::from_us(200);
 
 /// The probe ring: each node monitors its successor mod the machine
 /// size. A free function so the runtime's tick loops can compute targets
@@ -82,8 +89,6 @@ pub(crate) struct RecoverState {
     pub(crate) heartbeat_every: VirtualDuration,
     pub(crate) suspect_after: VirtualDuration,
     pub(crate) checkpoint_every: VirtualDuration,
-    pub(crate) checkpoint_cost: VirtualDuration,
-    pub(crate) restore_cost: VirtualDuration,
     pub(crate) crashes: Vec<PlannedCrash>,
     pub(crate) health: Vec<Health>,
     /// Crash-detector view: `suspected_dead[i]` keeps the balancer off
@@ -130,8 +135,6 @@ impl RecoverState {
             heartbeat_every: plan.heartbeat_every,
             suspect_after: plan.suspect_after,
             checkpoint_every: plan.checkpoint_every,
-            checkpoint_cost: plan.checkpoint_cost,
-            restore_cost: plan.restore_cost,
             crashes: plan
                 .crashes
                 .iter()

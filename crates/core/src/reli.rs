@@ -12,10 +12,11 @@
 //!   observes each sequence number exactly once;
 //! * the sender keeps unacknowledged messages and retransmits them from
 //!   the polling watchdog once their deadline passes, with exponential
-//!   backoff. Deadlines anchor at the network's *expected* arrival (link
-//!   queueing and latency spikes included) plus an ack-return estimate,
-//!   so spurious retransmits stay rare while real drops are detected in
-//!   a few round trips.
+//!   backoff (`rto << min(attempts, 6)`, so at most 64 × `rto`).
+//!   Deadlines anchor at the network's *expected* arrival (link queueing
+//!   and the sender's fail-slow factor included) plus an ack-return
+//!   estimate, so spurious retransmits stay rare while real drops are
+//!   detected in a few round trips.
 //!
 //! Acks themselves are unreliable: a dropped ack simply means one more
 //! retransmission, which the receiver dedups and re-acks.
@@ -33,9 +34,8 @@ pub(crate) const ENV_BYTES: u32 = 8;
 pub(crate) const ACK_WIRE: u32 = crate::msg::MSG_HEADER + 10;
 
 /// Cap on the exponential backoff shift: deadlines grow as
-/// `rto << min(attempts, CAP)` before the hard [`ReliLayer::max_rto`]
-/// ceiling applies. The shift cap alone bounds the multiplier at 64 and
-/// keeps the left-shift itself from overflowing.
+/// `rto << min(attempts, CAP)`, so the multiplier stops at 64 and the
+/// left-shift itself can never overflow.
 const BACKOFF_CAP: u32 = 6;
 
 /// The envelope a reliable message travels under.
@@ -88,14 +88,10 @@ pub(crate) struct ReliLayer {
     pub(crate) unacked: Vec<BTreeMap<(u16, u64), Pending>>,
     /// Base retransmission timeout margin from the fault plan.
     pub(crate) rto: VirtualDuration,
-    /// Hard ceiling on the backed-off timeout (`FaultPlan::rto_cap`):
-    /// a long brownout or crash window stops doubling here instead of
-    /// pushing deadlines into absurd virtual times.
-    pub(crate) max_rto: VirtualDuration,
 }
 
 impl ReliLayer {
-    pub(crate) fn new(nodes: u16, rto: VirtualDuration, max_rto: VirtualDuration) -> Self {
+    pub(crate) fn new(nodes: u16, rto: VirtualDuration) -> Self {
         let n = nodes as usize;
         ReliLayer {
             n,
@@ -104,7 +100,6 @@ impl ReliLayer {
             recv_ahead: vec![BTreeSet::new(); n * n],
             unacked: vec![BTreeMap::new(); n],
             rto,
-            max_rto,
         }
     }
 
@@ -137,12 +132,10 @@ impl ReliLayer {
     }
 
     /// The backoff-scaled deadline margin for a message on its
-    /// `attempts`-th retransmission: exponential up to the shift cap,
-    /// then clamped at the configured ceiling.
+    /// `attempts`-th retransmission: doubling per attempt up to the
+    /// shift cap, then flat at 64 × `rto`.
     pub(crate) fn backoff(&self, attempts: u32) -> VirtualDuration {
-        self.rto
-            .times(1u64 << attempts.min(BACKOFF_CAP))
-            .min(self.max_rto)
+        self.rto.times(1u64 << attempts.min(BACKOFF_CAP))
     }
 }
 
@@ -156,7 +149,7 @@ mod tests {
 
     #[test]
     fn seq_numbers_are_per_ordered_pair() {
-        let mut r = ReliLayer::new(3, us(100), us(6400));
+        let mut r = ReliLayer::new(3, us(100));
         assert_eq!(r.alloc_seq(NodeId(0), NodeId(1)), 0);
         assert_eq!(r.alloc_seq(NodeId(0), NodeId(1)), 1);
         assert_eq!(
@@ -169,7 +162,7 @@ mod tests {
 
     #[test]
     fn dedup_watermark_and_ahead_set() {
-        let mut r = ReliLayer::new(2, us(100), us(6400));
+        let mut r = ReliLayer::new(2, us(100));
         let (rx, tx) = (NodeId(1), NodeId(0));
         assert!(r.note_received(rx, tx, 0));
         assert!(!r.note_received(rx, tx, 0), "replay below watermark");
@@ -184,7 +177,7 @@ mod tests {
 
     #[test]
     fn dedup_is_per_source() {
-        let mut r = ReliLayer::new(3, us(100), us(6400));
+        let mut r = ReliLayer::new(3, us(100));
         assert!(r.note_received(NodeId(2), NodeId(0), 0));
         assert!(
             r.note_received(NodeId(2), NodeId(1), 0),
@@ -195,27 +188,10 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let r = ReliLayer::new(2, us(250), us(250 * 64));
+        let r = ReliLayer::new(2, us(250));
         assert_eq!(r.backoff(0), us(250));
         assert_eq!(r.backoff(1), us(500));
         assert_eq!(r.backoff(6), us(250 * 64));
         assert_eq!(r.backoff(40), us(250 * 64), "shift is capped");
-    }
-
-    #[test]
-    fn backoff_clamps_at_the_configured_ceiling() {
-        let r = ReliLayer::new(2, us(250), us(1_000));
-        // Below the cap the exponential curve is untouched...
-        assert_eq!(r.backoff(0), us(250));
-        assert_eq!(r.backoff(1), us(500));
-        // ...it reaches the ceiling exactly at the boundary attempt...
-        assert_eq!(r.backoff(2), us(1_000), "cap boundary: 250 << 2");
-        // ...and every later attempt holds there instead of doubling on.
-        assert_eq!(r.backoff(3), us(1_000));
-        assert_eq!(r.backoff(40), us(1_000));
-        // A cap between two rungs truncates mid-rung, not at a power.
-        let odd = ReliLayer::new(2, us(250), us(1_700));
-        assert_eq!(odd.backoff(2), us(1_000));
-        assert_eq!(odd.backoff(3), us(1_700), "clamped mid-rung");
     }
 }

@@ -95,7 +95,7 @@ pub struct EventCounts {
     /// Hedge timers (straggler defenses only).
     pub hedge_check: u64,
     /// `Wake` rounds that ran and charged no EU or SU time (a wake on a
-    /// down or paused node runs no round).
+    /// down node runs no round).
     pub idle_wakes: u64,
     /// `RetryCheck`s that found no deadline due.
     pub stale_retry_checks: u64,
@@ -348,11 +348,11 @@ impl fmt::Display for RunReport {
         }
         // The traffic line exists only when a plan was installed, so
         // batch runs render byte-identically to the pre-traffic format.
+        // Admission is always FIFO; the line still names it.
         if let Some(t) = &self.traffic {
             writeln!(
                 f,
-                "traffic: {}  arrived {}  admitted {}  completed {}  in-flight {}  queued {}",
-                t.discipline,
+                "traffic: fifo  arrived {}  admitted {}  completed {}  in-flight {}  queued {}",
                 t.arrived,
                 t.admitted,
                 t.completed,
@@ -478,7 +478,7 @@ mod tests {
     /// one in flight, the rest still queued, with backing records so the
     /// record-recounting conservation check holds.
     fn traffic_report(arrived: u64, admitted: u64, completed: u64) -> TrafficReport {
-        use crate::traffic::{Discipline, JobOutcome, JobRecord};
+        use crate::traffic::{JobOutcome, JobRecord};
         let jobs = (0..arrived)
             .map(|k| {
                 let admitted_k = k < admitted;
@@ -501,7 +501,6 @@ mod tests {
             })
             .collect();
         TrafficReport {
-            discipline: Discipline::Fifo,
             concurrency: 4,
             arrived,
             admitted,

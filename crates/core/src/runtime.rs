@@ -17,12 +17,12 @@ use crate::msg::{FuncId, Msg};
 use crate::node::{Node, Token};
 use crate::payload::Payload;
 use crate::profile::{ProfileState, RunProfile};
-use crate::recover::{Health, RecoverState};
+use crate::recover::{Health, RecoverState, CHECKPOINT_COST, RESTORE_COST};
 use crate::reli::{Envelope, Pending, ReliLayer, ACK_WIRE, ENV_BYTES};
 use crate::report::{EventCounts, NodeStats, RunReport};
 use crate::slow::{SlowState, SlowTransition};
 use crate::trace::{Activity, Span, Trace};
-use crate::traffic::{Admission, Discipline, JobArrival, OverloadPolicy, TrafficState};
+use crate::traffic::{Admission, JobArrival, OverloadPolicy, TrafficState};
 use earth_machine::{MachineConfig, NetFate, Network, NodeId, OpClass};
 use earth_sim::{EventQueue, Rng, VirtualDuration, VirtualTime};
 
@@ -210,7 +210,7 @@ impl Runtime {
         let net_seed = master.next_u64();
         let net = Network::new(cfg, net_seed);
         let plan = net.config().faults.as_ref();
-        let reli = plan.map(|p| ReliLayer::new(net.config().nodes, p.rto, p.rto_cap()));
+        let reli = plan.map(|p| ReliLayer::new(net.config().nodes, p.rto));
         let recover = plan
             .filter(|p| p.has_crashes())
             .map(|p| RecoverState::new(p, net.config().nodes));
@@ -419,9 +419,12 @@ impl Runtime {
     }
 
     /// Install a traffic plan: `jobs` arrive at their scheduled instants
-    /// and are admitted up to `concurrency` at a time under `discipline`.
-    /// Each admitted job's root token is launched on its (live) home node;
-    /// the job must report back with [`Ctx::job_done`] when finished.
+    /// and are admitted FIFO, up to `concurrency` at a time, under the
+    /// overload-control `policy` (bounded queue, deadline shedding,
+    /// client retries and the per-tenant circuit breaker; the default
+    /// policy is all-off). Each admitted job's root token is launched on
+    /// its (live) home node; the job must report back with
+    /// [`Ctx::job_done`] when finished.
     ///
     /// Arrival events are armed here, before the first event pops — the
     /// same pattern as the crash plane — so the stream is fixed up front.
@@ -431,20 +434,6 @@ impl Runtime {
         &mut self,
         jobs: Vec<JobArrival>,
         concurrency: u32,
-        discipline: Discipline,
-    ) {
-        self.install_traffic_with(jobs, concurrency, discipline, OverloadPolicy::default());
-    }
-
-    /// [`Self::install_traffic`] with an explicit overload-control
-    /// policy: bounded queue, deadline shedding, client retries, and the
-    /// per-tenant circuit breaker (see [`OverloadPolicy`]). The default
-    /// policy is all-off and byte-identical to [`Self::install_traffic`].
-    pub fn install_traffic_with(
-        &mut self,
-        jobs: Vec<JobArrival>,
-        concurrency: u32,
-        discipline: Discipline,
         policy: OverloadPolicy,
     ) {
         assert!(
@@ -457,7 +446,7 @@ impl Runtime {
         for (k, j) in jobs.iter().enumerate() {
             self.events.push(j.arrive, Event::JobArrive(k as u32));
         }
-        self.traffic = Some(TrafficState::new(jobs, concurrency, discipline, policy));
+        self.traffic = Some(TrafficState::new(jobs, concurrency, policy));
     }
 
     /// Job `k` reaches the front door at `t`: record the arrival and admit
@@ -753,9 +742,10 @@ impl Runtime {
             None => (self.reli.as_mut().unwrap().alloc_seq(src, dst), 0),
         };
         // Deadline: the fault-free arrival estimate (link queueing and
-        // latency spikes included) plus the ack's return-leg transfer time
-        // plus the backoff margin. Receiver service time is *not* in the
-        // ack path — the NIC acks on arrival — so this stays tight.
+        // the sender's fail-slow factor included) plus the ack's
+        // return-leg transfer time plus the backoff margin. Receiver
+        // service time is *not* in the ack path — the NIC acks on
+        // arrival — so this stays tight.
         let ack_leg = self.net.transfer_time(dst, src, ACK_WIRE);
         let expected_rtt = r.expected.since(at) + ack_leg;
         let reli = self.reli.as_mut().unwrap();
@@ -952,7 +942,7 @@ impl Runtime {
 
     /// A crash window's recovery begins — at its scheduled restart
     /// instant, or at the detection instant for failover crashes. The
-    /// node charges `restore_cost` plus a re-execution of everything it
+    /// node charges `RESTORE_COST` plus a re-execution of everything it
     /// had run since its last checkpoint, then wakes: its NIC accepts
     /// traffic from here on (queued behind the replay), so the senders'
     /// retransmissions drain.
@@ -967,7 +957,7 @@ impl Runtime {
         let node = rec.crashes[i].node as usize;
         rec.mark_up(node);
         rec.suspected_dead[node] = false;
-        let replay = rec.restore_cost + rec.lost_work[node];
+        let replay = RESTORE_COST + rec.lost_work[node];
         rec.lost_work[node] = VirtualDuration::ZERO;
         let down_since = rec.down_since[node];
         let nid = NodeId(node as u16);
@@ -1035,7 +1025,7 @@ impl Runtime {
         if rec.all_resolved() {
             return; // stand down with the detector
         }
-        let (every, cost) = (rec.checkpoint_every, rec.checkpoint_cost);
+        let every = rec.checkpoint_every;
         // Snapshot the live list (down nodes have nothing to capture;
         // recovery re-checkpoints them), charge each capture, then reset
         // the lost-work meters: the capture itself is saved, not lost.
@@ -1044,9 +1034,7 @@ impl Runtime {
         live.extend_from_slice(&rec.live);
         for &i in &live {
             self.nodes[i as usize].stats.checkpoints += 1;
-            if !cost.is_zero() {
-                self.charge(NodeId(i), t, cost, Activity::Checkpoint);
-            }
+            self.charge(NodeId(i), t, CHECKPOINT_COST, Activity::Checkpoint);
         }
         let rec = self.recover.as_mut().unwrap();
         for &i in &live {
@@ -1169,24 +1157,13 @@ impl Runtime {
 
     /// One scheduling round: poll, then run one thread / token, or steal.
     /// A round that charges no EU or SU time counts in
-    /// [`EventCounts::idle_wakes`]; a wake that dies on a down node or
-    /// waits out a pause runs no round.
+    /// [`EventCounts::idle_wakes`]; a wake that dies on a down node runs
+    /// no round.
     fn schedule(&mut self, t: VirtualTime, node: NodeId) {
         // Crash plane: a down node schedules nothing at all. Its Recover
         // event wakes it when the replay completes; stray wakes (pokes,
         // retry checks, a pre-crash round's end) die here.
         if self.recover.as_ref().is_some_and(|r| r.is_down(node)) {
-            return;
-        }
-        // Planned node pause (fault plans only): the node stalls between
-        // rounds — no polling, no threads, no retransmits. Deliveries
-        // queue at the NIC; the wake at the window's end rechecks, so
-        // overlapping windows chain naturally. A pure stall performs no
-        // activity and so never extends the run's `last_activity`.
-        if let Some(resume) = self.net.pause_until(node, t) {
-            let n = &mut self.nodes[node.index()];
-            n.wake_pending = true;
-            self.events.push(resume, Event::Wake(node));
             return;
         }
         let costs = self.config().earth;
@@ -1387,7 +1364,7 @@ impl Runtime {
     /// Reference steal-victim enumeration: the original full O(nodes)
     /// scan. `try_steal` asserts its indexed fast path against this in
     /// debug builds (the same scan-vs-index proof template as the fault
-    /// plane's `pause_until` cursor), and the property suite drives the
+    /// plane's `slow_factor` cursor), and the property suite drives the
     /// two through randomized mutation sequences.
     fn steal_victims_scan(&self, node: NodeId, t: VirtualTime) -> Vec<NodeId> {
         let avoid = |i: usize| {
@@ -1876,7 +1853,7 @@ mod tests {
     /// Drive the token-holder index through randomized queue mutations and
     /// assert the steal-victim enumeration stays byte-identical to the
     /// reference full scan — same template as the fault plane's
-    /// `pause_until` cursor-vs-scan proof.
+    /// `slow_factor` cursor-vs-scan proof.
     fn dummy_token() -> Token {
         Token {
             func: FuncId(0),

@@ -28,8 +28,7 @@
 //! estimate). A node is marked **Suspected-Slow** when its smoothed
 //! level exceeds `threshold ×` the nearest-rank median level across
 //! sampled nodes, after at least `min_samples` observations — a
-//! relative test, so uniformly slow fabrics (spikes, storms) suspect
-//! nobody.
+//! relative test, so a uniformly slow fabric suspects nobody.
 //!
 //! Suspected-Slow is deliberately a different state from the crash
 //! detector's Suspected-Dead: a straggler is quarantined (steal-victim

@@ -9,8 +9,8 @@
 //! process down to these records and installs them with
 //! [`crate::Runtime::install_traffic`].
 //!
-//! The front-end enqueues arrivals, admits up to a concurrency limit under
-//! a pluggable [`Discipline`], launches each admitted job's root token,
+//! The front-end enqueues arrivals, admits them in arrival order (FIFO)
+//! up to a concurrency limit, launches each admitted job's root token,
 //! and records the full lifecycle (arrived → admitted → completed) in
 //! virtual time. Like every optional plane before it (trace, profile,
 //! faults, crashes) it is **provably absent when unused**: the state is
@@ -59,38 +59,6 @@ use earth_machine::NodeId;
 use earth_sim::{stream_word, word_bounded, VirtualDuration, VirtualTime};
 use std::collections::VecDeque;
 use std::fmt;
-
-/// Queueing discipline for jobs waiting at the admission front-end.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Discipline {
-    /// First-come first-served in arrival order (the default).
-    Fifo,
-    /// Per-tenant fair share: admit the waiting job whose tenant has been
-    /// admitted least often so far; FIFO within a tenant and on ties.
-    /// This is max-min fairness in admission slots — a tenant flooding
-    /// the queue cannot starve the others.
-    FairShare,
-}
-
-impl Discipline {
-    /// Inverse of `Display`: parse a discipline from its stable name.
-    pub fn from_name(name: &str) -> Option<Discipline> {
-        match name {
-            "fifo" => Some(Discipline::Fifo),
-            "fair_share" => Some(Discipline::FairShare),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Discipline {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Discipline::Fifo => write!(f, "fifo"),
-            Discipline::FairShare => write!(f, "fair_share"),
-        }
-    }
-}
 
 /// Where a job's lifecycle ended. `Pending` is the only non-terminal
 /// state; at quiescence of a finite plan every record is terminal.
@@ -213,7 +181,8 @@ impl OverloadPolicy {
 pub struct JobArrival {
     /// Workload-defined class tag (e.g. eigen / Gröbner / neural / search).
     pub class: u8,
-    /// Tenant this job bills to (drives [`Discipline::FairShare`]).
+    /// Tenant this job bills to (keys the per-tenant circuit breaker
+    /// and the per-tenant SLO slices).
     pub tenant: u16,
     /// Virtual instant the job arrives at the front door.
     pub arrive: VirtualTime,
@@ -340,8 +309,6 @@ impl SloSummary {
 /// plus the per-job records the latency summaries are computed from.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TrafficReport {
-    /// Discipline the front-end ran under.
-    pub discipline: Discipline,
     /// Concurrency limit (jobs admitted but not yet completed).
     pub concurrency: u32,
     /// Jobs that reached the front door (unique jobs; retries of the
@@ -543,8 +510,6 @@ pub(crate) struct TrafficState {
     pub(crate) records: Vec<JobRecord>,
     /// Waiting jobs in arrival order.
     waiting: VecDeque<u32>,
-    /// Admission counts per tenant (fair-share bookkeeping).
-    tenant_admitted: Vec<u64>,
     /// Breaker state per tenant (empty without a breaker policy).
     breakers: Vec<BreakerState>,
     /// Arrival instant of each job's *current* attempt (deadline
@@ -553,7 +518,6 @@ pub(crate) struct TrafficState {
     /// Jobs admitted but not yet completed.
     in_flight: u32,
     pub(crate) concurrency: u32,
-    pub(crate) discipline: Discipline,
     pub(crate) policy: OverloadPolicy,
     pub(crate) arrived: u64,
     pub(crate) admitted: u64,
@@ -569,12 +533,7 @@ pub(crate) struct TrafficState {
 }
 
 impl TrafficState {
-    pub(crate) fn new(
-        jobs: Vec<JobArrival>,
-        concurrency: u32,
-        discipline: Discipline,
-        policy: OverloadPolicy,
-    ) -> Self {
+    pub(crate) fn new(jobs: Vec<JobArrival>, concurrency: u32, policy: OverloadPolicy) -> Self {
         assert!(concurrency >= 1, "traffic concurrency limit must be >= 1");
         policy.validate();
         let tenants = jobs
@@ -606,12 +565,10 @@ impl TrafficState {
         TrafficState {
             records,
             waiting: VecDeque::with_capacity(jobs.len().min(1024)),
-            tenant_admitted: vec![0; tenants],
             breakers,
             attempt_arrive,
             in_flight: 0,
             concurrency,
-            discipline,
             policy,
             arrived: 0,
             admitted: 0,
@@ -768,29 +725,10 @@ impl TrafficState {
         self.in_flight < self.concurrency && !self.waiting.is_empty()
     }
 
-    /// Remove and return the next job to admit under the discipline.
-    /// Callers must have checked [`Self::can_admit`].
+    /// Remove and return the longest-waiting job (FIFO). Callers must
+    /// have checked [`Self::can_admit`].
     pub(crate) fn pick_next(&mut self) -> u32 {
-        let pos = match self.discipline {
-            Discipline::Fifo => 0,
-            Discipline::FairShare => {
-                // Least-admitted tenant wins; the scan is in queue order,
-                // so ties keep FIFO. Queues are bounded by the concurrency
-                // backlog, far below anything a scan would hurt.
-                let mut best = 0usize;
-                let mut best_count = u64::MAX;
-                for (pos, &k) in self.waiting.iter().enumerate() {
-                    let count = self.tenant_admitted[self.jobs[k as usize].tenant as usize];
-                    if count < best_count {
-                        best = pos;
-                        best_count = count;
-                    }
-                }
-                best
-            }
-        };
-        let k = self.waiting.remove(pos).expect("pick_next on empty queue");
-        self.tenant_admitted[self.jobs[k as usize].tenant as usize] += 1;
+        let k = self.waiting.pop_front().expect("pick_next on empty queue");
         self.in_flight += 1;
         self.admitted += 1;
         k
@@ -811,7 +749,6 @@ impl TrafficState {
 
     pub(crate) fn report(&self) -> TrafficReport {
         TrafficReport {
-            discipline: self.discipline,
             concurrency: self.concurrency,
             arrived: self.arrived,
             admitted: self.admitted,
@@ -849,8 +786,8 @@ mod tests {
         VirtualTime::ZERO + VirtualDuration::from_us(t)
     }
 
-    fn state(jobs: Vec<JobArrival>, conc: u32, d: Discipline) -> TrafficState {
-        TrafficState::new(jobs, conc, d, OverloadPolicy::default())
+    fn state(jobs: Vec<JobArrival>, conc: u32) -> TrafficState {
+        TrafficState::new(jobs, conc, OverloadPolicy::default())
     }
 
     fn arrive_all(st: &mut TrafficState, n: u32) {
@@ -870,7 +807,7 @@ mod tests {
     #[test]
     fn fifo_admits_in_arrival_order() {
         let jobs = vec![arrival(1, 0), arrival(1, 1), arrival(0, 2)];
-        let mut st = state(jobs, 1, Discipline::Fifo);
+        let mut st = state(jobs, 1);
         arrive_all(&mut st, 3);
         assert_eq!(admit_next(&mut st, 10), 0);
         st.complete(us(20), 0);
@@ -880,25 +817,9 @@ mod tests {
     }
 
     #[test]
-    fn fair_share_interleaves_tenants() {
-        // Tenant 0 floods three jobs before tenant 1's single job; fair
-        // share admits tenant 1 second, not last.
-        let jobs = vec![arrival(0, 0), arrival(0, 1), arrival(0, 2), arrival(1, 3)];
-        let mut st = state(jobs, 1, Discipline::FairShare);
-        arrive_all(&mut st, 4);
-        assert_eq!(admit_next(&mut st, 10), 0, "all zero: FIFO tie-break");
-        st.complete(us(11), 0);
-        assert_eq!(admit_next(&mut st, 11), 3, "tenant 1 never served yet");
-        st.complete(us(12), 3);
-        assert_eq!(admit_next(&mut st, 12), 1);
-        st.complete(us(13), 1);
-        assert_eq!(admit_next(&mut st, 13), 2);
-    }
-
-    #[test]
     fn concurrency_limit_gates_admission() {
         let jobs = vec![arrival(0, 0), arrival(0, 0), arrival(0, 0)];
-        let mut st = state(jobs, 2, Discipline::Fifo);
+        let mut st = state(jobs, 2);
         arrive_all(&mut st, 3);
         admit_next(&mut st, 5);
         admit_next(&mut st, 5);
@@ -943,7 +864,7 @@ mod tests {
             queue_cap: Some(2),
             ..OverloadPolicy::default()
         };
-        let mut st = TrafficState::new(jobs, 1, Discipline::Fifo, policy);
+        let mut st = TrafficState::new(jobs, 1, policy);
         assert!(matches!(st.arrive(us(0), 0), Admission::Queued));
         assert!(matches!(st.arrive(us(1), 1), Admission::Queued));
         assert!(matches!(st.arrive(us(2), 2), Admission::Terminal));
@@ -971,7 +892,7 @@ mod tests {
             }),
             ..OverloadPolicy::default()
         };
-        let mut st = TrafficState::new(jobs.clone(), 1, Discipline::Fifo, policy.clone());
+        let mut st = TrafficState::new(jobs.clone(), 1, policy.clone());
         assert!(matches!(st.arrive(us(0), 0), Admission::Queued));
         let Admission::Retry(first) = st.arrive(us(1), 1) else {
             panic!("full queue must schedule a retry");
@@ -991,7 +912,7 @@ mod tests {
         assert_eq!(r.jobs[1].retries, 2);
         assert!(r.is_conserved(), "{r:?}");
         // Replay: the same policy re-derives the same instants.
-        let mut st2 = TrafficState::new(jobs, 1, Discipline::Fifo, policy);
+        let mut st2 = TrafficState::new(jobs, 1, policy);
         assert!(matches!(st2.arrive(us(0), 0), Admission::Queued));
         let Admission::Retry(first2) = st2.arrive(us(1), 1) else {
             panic!()
@@ -1010,7 +931,7 @@ mod tests {
             deadline_shedding: true,
             ..OverloadPolicy::default()
         };
-        let mut st = TrafficState::new(vec![a, b, c], 1, Discipline::Fifo, policy);
+        let mut st = TrafficState::new(vec![a, b, c], 1, policy);
         arrive_all(&mut st, 3);
         let mut retries = Vec::new();
         st.shed_expired(us(100), &mut retries);
@@ -1037,7 +958,7 @@ mod tests {
             }),
             ..OverloadPolicy::default()
         };
-        let mut st = TrafficState::new(jobs, 1, Discipline::Fifo, policy);
+        let mut st = TrafficState::new(jobs, 1, policy);
         assert!(matches!(st.arrive(us(0), 0), Admission::Queued));
         // Two queue-full rejections trip the breaker...
         assert!(matches!(st.arrive(us(1), 1), Admission::Terminal));
@@ -1065,7 +986,7 @@ mod tests {
     #[test]
     fn corrupted_report_fails_conservation() {
         let jobs = vec![arrival(0, 0), arrival(0, 1)];
-        let mut st = state(jobs, 1, Discipline::Fifo);
+        let mut st = state(jobs, 1);
         arrive_all(&mut st, 2);
         let k = admit_next(&mut st, 5);
         st.complete(us(9), k);
@@ -1094,7 +1015,7 @@ mod tests {
     #[test]
     fn sojourns_and_slo_edge_cases() {
         let jobs = vec![arrival(0, 0)];
-        let mut st = state(jobs, 1, Discipline::Fifo);
+        let mut st = state(jobs, 1);
         // Empty report slice: no completions anywhere.
         let r = st.report();
         assert!(r.sojourns_us(None).is_empty());
@@ -1118,9 +1039,6 @@ mod tests {
 
     #[test]
     fn display_names_round_trip() {
-        for d in [Discipline::Fifo, Discipline::FairShare] {
-            assert_eq!(Discipline::from_name(&d.to_string()), Some(d));
-        }
         for o in [
             JobOutcome::Pending,
             JobOutcome::Completed,
@@ -1129,7 +1047,6 @@ mod tests {
         ] {
             assert_eq!(JobOutcome::from_name(&o.to_string()), Some(o));
         }
-        assert_eq!(Discipline::from_name("lifo"), None);
         assert_eq!(JobOutcome::from_name("evicted"), None);
     }
 
@@ -1190,7 +1107,7 @@ mod tests {
         fn rt_with_plan(every_us: u64, service_us: u64, n: u32, conc: u32) -> Runtime {
             let mut rt = Runtime::new(MachineConfig::manna(4), 7);
             let jobs = plan_jobs(&mut rt, every_us, service_us, n, None);
-            rt.install_traffic(jobs, conc, Discipline::Fifo);
+            rt.install_traffic(jobs, conc, OverloadPolicy::default());
             rt
         }
 
@@ -1237,34 +1154,13 @@ mod tests {
         }
 
         #[test]
-        fn default_policy_is_byte_identical_to_legacy_install() {
-            // install_traffic and install_traffic_with(default) are the
-            // same front door: the whole run — traffic records included —
-            // must match byte for byte.
-            let run = |with_policy: bool| {
-                let mut rt = Runtime::new(MachineConfig::manna(4), 7);
-                let jobs = plan_jobs(&mut rt, 100, 300, 6, None);
-                if with_policy {
-                    rt.install_traffic_with(jobs, 1, Discipline::Fifo, OverloadPolicy::default());
-                } else {
-                    rt.install_traffic(jobs, 1, Discipline::Fifo);
-                }
-                rt.run()
-            };
-            let legacy = run(false);
-            let with = run(true);
-            assert_eq!(format!("{legacy:?}"), format!("{with:?}"));
-            assert_eq!(format!("{legacy}"), format!("{with}"));
-        }
-
-        #[test]
         fn deadlines_without_shedding_only_annotate() {
             // Drawing deadlines is pure bookkeeping: without shedding the
             // lifecycle instants are identical to the deadline-free run.
             let run = |deadline_us: Option<u64>| {
                 let mut rt = Runtime::new(MachineConfig::manna(4), 7);
                 let jobs = plan_jobs(&mut rt, 100, 300, 6, deadline_us);
-                rt.install_traffic(jobs, 1, Discipline::Fifo);
+                rt.install_traffic(jobs, 1, OverloadPolicy::default());
                 rt.run()
             };
             let bare = run(None);
@@ -1287,10 +1183,9 @@ mod tests {
             // served, and the run drains with every record terminal.
             let mut rt = Runtime::new(MachineConfig::manna(4), 7);
             let jobs = plan_jobs(&mut rt, 50, 300, 8, Some(200));
-            rt.install_traffic_with(
+            rt.install_traffic(
                 jobs,
                 1,
-                Discipline::Fifo,
                 OverloadPolicy {
                     deadline_shedding: true,
                     ..OverloadPolicy::default()
@@ -1320,10 +1215,9 @@ mod tests {
             let run = || {
                 let mut rt = Runtime::new(MachineConfig::manna(4), 7);
                 let jobs = plan_jobs(&mut rt, 20, 400, 10, None);
-                rt.install_traffic_with(
+                rt.install_traffic(
                     jobs,
                     1,
-                    Discipline::Fifo,
                     OverloadPolicy {
                         queue_cap: Some(1),
                         retry: Some(RetryPolicy {
@@ -1359,7 +1253,7 @@ mod tests {
                     })
                 });
                 if install_empty {
-                    rt.install_traffic(Vec::new(), 8, Discipline::FairShare);
+                    rt.install_traffic(Vec::new(), 8, OverloadPolicy::default());
                 }
                 // A plain batch token, reported via mark not job_done —
                 // there is no front-end to report to.
@@ -1388,7 +1282,7 @@ mod tests {
     #[test]
     fn report_counters_conserve() {
         let jobs = vec![arrival(0, 0), arrival(0, 1), arrival(0, 2)];
-        let mut st = state(jobs, 1, Discipline::Fifo);
+        let mut st = state(jobs, 1);
         arrive_all(&mut st, 3);
         let k = admit_next(&mut st, 5);
         let r = st.report();

@@ -292,6 +292,15 @@ fn decomposition_is_exact_across_a_crash_and_scheduled_restart() {
     assert!(some_node(&prof, |p| p.heartbeat), "no heartbeat time");
     assert!(some_node(&prof, |p| p.checkpoint), "no checkpoint time");
     assert!(!prof.nodes[3].recover.is_zero(), "no recovery time");
+    // Every capture costs a fixed 20 µs of EU time.
+    for (i, (p, n)) in prof.nodes.iter().zip(&report.nodes).enumerate() {
+        assert_eq!(
+            p.checkpoint,
+            VirtualDuration::from_us(20).times(n.checkpoints),
+            "node {i}: {} checkpoints",
+            n.checkpoints
+        );
+    }
 }
 
 #[test]

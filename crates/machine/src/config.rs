@@ -218,7 +218,7 @@ impl MachineConfig {
     }
 
     /// Install a fault-injection plan. A trivial plan (nothing can ever
-    /// fire) is normalized to `None`, so `with_faults(FaultPlan::none())`
+    /// fire) is normalized to `None`, so `with_faults(FaultPlan::new())`
     /// is byte-identical to never calling this at all.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = if plan.is_trivial() { None } else { Some(plan) };
@@ -268,11 +268,8 @@ mod tests {
 
     #[test]
     fn trivial_fault_plans_normalize_away() {
-        let m = MachineConfig::manna(4).with_faults(FaultPlan::none());
-        assert!(
-            m.faults.is_none(),
-            "FaultPlan::none() must be provably free"
-        );
+        let m = MachineConfig::manna(4).with_faults(FaultPlan::new());
+        assert!(m.faults.is_none(), "FaultPlan::new() must be provably free");
         let m = MachineConfig::manna(4).with_faults(FaultPlan::new().with_drop(0.01));
         assert!(m.faults.is_some());
     }

@@ -38,6 +38,5 @@ pub use topology::{
 // Re-export the fault plane so downstream crates (runtime, apps, bench)
 // can build `FaultPlan`s without depending on earth-faults directly.
 pub use earth_faults::{
-    BrownoutWindow, CrashWindow, DegradedLink, Fate, FaultKind, FaultPlan, FaultState, JitterStorm,
-    LinkProbs, PauseWindow, SlowDetector, SlowdownWindow, SpikeWindow,
+    CrashWindow, Fate, FaultKind, FaultPlan, FaultState, LinkProbs, SlowDetector, SlowdownWindow,
 };

@@ -32,7 +32,7 @@ pub struct NetworkStats {
     pub link_waits: u64,
     /// Cumulative time messages spent waiting for the sender link.
     pub wait_time: VirtualDuration,
-    /// Messages lost in the fabric (fault plane: drop or brownout).
+    /// Messages lost in the fabric (fault plane).
     pub dropped: u64,
     /// Messages the fabric delivered twice (fault plane).
     pub duplicated: u64,
@@ -83,8 +83,8 @@ pub enum NetFate {
 pub struct Resolved {
     /// Instant the message started occupying the sender link.
     pub depart: VirtualTime,
-    /// Fault-free arrival instant (including any latency-spike factor,
-    /// excluding drop/duplicate/delay effects) — the anchor for
+    /// Fault-free arrival instant (including the sender's fail-slow
+    /// factor, excluding drop/duplicate/delay effects) — the anchor for
     /// retransmission-timeout estimates.
     pub expected: VirtualTime,
     /// What actually happened to the message.
@@ -172,19 +172,6 @@ impl Network {
         self.faults.is_some()
     }
 
-    /// Base retransmission-timeout margin from the installed plan, if any.
-    pub fn fault_rto(&self) -> Option<VirtualDuration> {
-        self.faults.as_ref().map(|f| f.rto())
-    }
-
-    /// If `node` is inside a planned pause window at `t`, the instant its
-    /// stall ends; `None` when running normally (or no plan installed).
-    /// Takes `&mut self`: the lookup advances the fault state's per-node
-    /// pause cursor (queries ride the non-decreasing event clock).
-    pub fn pause_until(&mut self, node: NodeId, t: VirtualTime) -> Option<VirtualTime> {
-        self.faults.as_mut()?.pause_until(node.0, t)
-    }
-
     /// Fail-slow EU/SU multiplier for `node` at `t` (1.0 when no plan
     /// or no slowdown window covers `t`). Takes `&mut self`: the lookup
     /// advances the fault state's forward-only slowdown cursor, so only
@@ -194,14 +181,6 @@ impl Network {
         self.faults
             .as_mut()
             .map_or(1.0, |f| f.slow_factor(node.0, t))
-    }
-
-    /// Whether the installed plan has any fail-slow windows at all (the
-    /// runtime skips per-round factor queries entirely otherwise).
-    pub fn has_slowdowns(&self) -> bool {
-        self.faults
-            .as_ref()
-            .is_some_and(|f| !f.plan().slowdowns.is_empty())
     }
 
     /// Count a message a crashed node's NIC discarded before acking.
@@ -294,8 +273,8 @@ impl Network {
     }
 
     /// Inject a message under the installed fault plan: same link and
-    /// flight math as [`send_detailed`](Network::send_detailed) (with any
-    /// active latency-spike factor applied to flight), then a fate drawn
+    /// flight math as [`send_detailed`](Network::send_detailed) (with the
+    /// sender's fail-slow factor applied to flight), then a fate drawn
     /// from the plan's counter-based stream. Dropped messages still
     /// occupy the sender link and count as injected traffic; duplicates
     /// serialize once but deliver twice.
@@ -317,67 +296,42 @@ impl Network {
                 fate: NetFate::Delivered { arrive: now },
             };
         }
-        // Compose the deterministic flight multipliers: machine-wide
-        // latency spikes × this link's degradation × the sender's
-        // fail-slow factor (a degraded node drains its NIC slowly, so
-        // everything it transmits — acks included — leaves late, which
-        // is exactly what makes fail-slow observable in ack RTTs). All
-        // three are 1.0 on a healthy link, and 1.0 × 1.0 × 1.0 == 1.0
-        // exactly, so `timed`'s `!= 1.0` guard keeps clean paths
-        // bit-exact. The slowdown lookup must be the scan: send-path
-        // query times can regress (an ack triggered by a delivery can
-        // precede an already-computed in-round send instant), which
-        // would corrupt a forward-only cursor.
-        let factor = {
-            let f = self
-                .faults
-                .as_ref()
-                .expect("send_resolved requires an installed fault plan");
-            f.latency_factor(now)
-                * f.degrade_factor(now, src.0, dst.0)
-                * f.slow_factor_scan(src.0, now)
-        };
+        // The sender's fail-slow factor stretches flight: a degraded node
+        // drains its NIC slowly, so everything it transmits — acks
+        // included — leaves late, which is exactly what makes fail-slow
+        // observable in ack RTTs. It is 1.0 on a healthy node, so
+        // `timed`'s `!= 1.0` guard keeps clean paths bit-exact. The
+        // lookup must be the scan: send-path query times can regress (an
+        // ack triggered by a delivery can precede an already-computed
+        // in-round send instant), which would corrupt a forward-only
+        // cursor.
+        let factor = self
+            .faults
+            .as_ref()
+            .expect("send_resolved requires an installed fault plan")
+            .slow_factor_scan(src.0, now);
         let d = self.timed(now, src, dst, bytes, factor);
-        let faults = self.faults.as_mut().unwrap();
-        let fate = faults.fate(now, src.0, dst.0);
-        // Storm extra is drawn per injection (not per delivered copy)
-        // so the dedicated storm lane stays a pure function of the
-        // link's injection index, whatever the fate stream decides.
-        let storm = faults.storm_extra(now, src.0, dst.0);
-        let (net_fate, kind) = match fate {
-            Fate::Deliver => match storm {
-                Some(extra) => {
-                    self.stats.delayed += 1;
-                    (
-                        NetFate::Delivered {
-                            arrive: d.arrive + extra,
-                        },
-                        Some(FaultKind::Delay),
-                    )
-                }
-                None => (NetFate::Delivered { arrive: d.arrive }, None),
-            },
+        let (net_fate, kind) = match self.faults.as_mut().unwrap().fate(src.0, dst.0) {
+            Fate::Deliver => (NetFate::Delivered { arrive: d.arrive }, None),
             Fate::Drop => {
                 self.stats.dropped += 1;
                 (NetFate::Dropped, Some(FaultKind::Drop))
             }
             Fate::Duplicate { skew } => {
                 self.stats.duplicated += 1;
-                let jitter = storm.unwrap_or(VirtualDuration::ZERO);
                 (
                     NetFate::Duplicated {
-                        first: d.arrive + jitter,
-                        second: d.arrive + jitter + skew,
+                        first: d.arrive,
+                        second: d.arrive + skew,
                     },
                     Some(FaultKind::Duplicate),
                 )
             }
             Fate::Delay { extra } => {
                 self.stats.delayed += 1;
-                let jitter = storm.unwrap_or(VirtualDuration::ZERO);
                 (
                     NetFate::Delivered {
-                        arrive: d.arrive + extra + jitter,
+                        arrive: d.arrive + extra,
                     },
                     Some(FaultKind::Delay),
                 )
@@ -438,7 +392,7 @@ impl Network {
                     .gen_f64_range(-self.cfg.latency_jitter, self.cfg.latency_jitter);
             flight = flight.scaled(f);
         }
-        // Latency-spike windows scale flight only; the `!= 1.0` guard keeps
+        // The fail-slow factor scales flight only; the `!= 1.0` guard keeps
         // the fault-free path bit-exact (no rounding through `scaled`).
         if factor != 1.0 {
             flight = flight.scaled(factor);
@@ -581,11 +535,11 @@ mod tests {
     #[test]
     fn send_resolved_matches_send_detailed_when_no_fault_fires() {
         use earth_faults::FaultPlan;
-        // A plan that only has a far-future pause window: non-trivial (so
+        // A plan that only has a far-future crash window: non-trivial (so
         // the fault plane installs) but no per-message fault ever fires,
         // so resolved timing must equal the plain path exactly.
         let late = VirtualTime::ZERO + VirtualDuration::from_secs(1_000);
-        let plan = FaultPlan::new().with_node_pause(0, late, late + VirtualDuration::from_us(1));
+        let plan = FaultPlan::new().with_node_crash(0, late);
         let cfg = MachineConfig::manna(4).with_jitter(0.05);
         let mut plain = Network::new(cfg.clone(), 21);
         let mut faulty = Network::new(cfg.with_faults(plan), 21);
@@ -638,29 +592,6 @@ mod tests {
         assert_eq!(n.stats().delayed, delays);
         // Every injection — dropped or not — occupied the link and counts.
         assert_eq!(n.stats().messages, 400);
-    }
-
-    #[test]
-    fn latency_spike_scales_flight_inside_window_only() {
-        use earth_faults::FaultPlan;
-        let t0 = VirtualTime::ZERO;
-        let in_spike = t0 + VirtualDuration::from_ms(1);
-        let plan = FaultPlan::new().with_latency_spike(
-            t0 + VirtualDuration::from_us(500),
-            t0 + VirtualDuration::from_ms(2),
-            4.0,
-        );
-        let mut plain = net(4);
-        let mut spiky = Network::new(MachineConfig::manna(4).with_faults(plan), 1);
-        let base = plain.send_detailed(t0, NodeId(0), NodeId(1), 100);
-        let serialize = base.arrive.since(base.depart) - VirtualDuration::from_ns(1_500); // wire 1us + 1 hop 0.5us
-                                                                                          // Outside the window: identical flight.
-        let r0 = spiky.send_resolved(t0, NodeId(0), NodeId(1), 100);
-        assert_eq!(r0.expected.since(r0.depart), base.arrive.since(base.depart));
-        // Inside: flight (wire + hops) is 4x, serialization untouched.
-        let r1 = spiky.send_resolved(in_spike, NodeId(0), NodeId(1), 100);
-        let flight = r1.expected.since(r1.depart) - serialize;
-        assert_eq!(flight, VirtualDuration::from_ns(6_000), "4 * 1.5us");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use earth_algebra::poly::{Poly, Ring, Term};
 use earth_faults::FaultPlan;
 use earth_linalg::SymTridiagonal;
 use earth_sim::{VirtualDuration, VirtualTime};
-use earth_traffic::{Discipline, TrafficPlan};
+use earth_traffic::TrafficPlan;
 use std::ops::Range;
 
 /// A monomial in `nvars` variables with exponents in `[0, max_exp]`.
@@ -86,35 +86,22 @@ pub fn event_schedule(
 /// A bounded-loss fault-injection plan: drop / duplicate / reorder
 /// probabilities drawn up to the given caps (both must be in `(0, 1)`;
 /// keep them well under ~0.3 so reliability properties converge in a
-/// few round trips), a reorder window of 5–40 µs, an RTO of 100–400 µs,
-/// and — half the time — one early latency-spike window, so generated
-/// plans also exercise the delay path.
+/// few round trips; reorder stays under 0.1, so generated plans also
+/// exercise the delay path) and an RTO of 100–400 µs.
 pub fn fault_plan(max_drop: f64, max_dup: f64) -> impl Strategy<Value = FaultPlan> {
     assert!(
         max_drop > 0.0 && max_drop < 1.0 && max_dup > 0.0 && max_dup < 1.0,
         "probability caps must be in (0, 1)"
     );
-    (
-        0.0..max_drop,
-        0.0..max_dup,
-        0.0..0.1f64,
-        5u64..40,
-        100u64..400,
-        crate::strategy::any::<bool>(),
-    )
-        .prop_map(|(drop, dup, reorder, window_us, rto_us, spike)| {
-            let mut plan = FaultPlan::new()
+    (0.0..max_drop, 0.0..max_dup, 0.0..0.1f64, 100u64..400).prop_map(
+        |(drop, dup, reorder, rto_us)| {
+            FaultPlan::new()
                 .with_drop(drop)
                 .with_duplicate(dup)
                 .with_reorder(reorder)
-                .with_reorder_window(VirtualDuration::from_us(window_us))
-                .with_rto(VirtualDuration::from_us(rto_us));
-            if spike {
-                plan =
-                    plan.with_latency_spike(VirtualTime::ZERO, VirtualTime::from_ns(500_000), 2.0);
-            }
-            plan
-        })
+                .with_rto(VirtualDuration::from_us(rto_us))
+        },
+    )
 }
 
 /// A crash plan: one node in `[0, nodes)` crash-stops at an instant
@@ -143,10 +130,10 @@ pub fn crash_plan(nodes: u16, down_us: Range<u64>) -> impl Strategy<Value = Faul
 }
 
 /// An installable traffic plan: up to `max_jobs` jobs at 500–8000
-/// offered jobs/s, a random non-degenerate class mix, 1–4 tenants,
-/// concurrency 1–8, and either queueing discipline. Sizes stay in the
-/// default 4–64 bounded-Pareto band so generated streams drain fast
-/// enough for property runs.
+/// offered jobs/s, a random non-degenerate class mix, 1–4 tenants and
+/// concurrency 1–8. Sizes come from the plan's fixed 4–64
+/// bounded-Pareto band, so generated streams drain fast enough for
+/// property runs.
 pub fn traffic_plan(max_jobs: u32) -> impl Strategy<Value = TrafficPlan> {
     assert!(
         max_jobs >= 1,
@@ -158,9 +145,9 @@ pub fn traffic_plan(max_jobs: u32) -> impl Strategy<Value = TrafficPlan> {
         500u64..8_000,
         collection::vec(0u32..4, 4),
         1u64..5,
-        (1u32..9, crate::strategy::any::<bool>()),
+        1u32..9,
     )
-        .prop_map(|(seed, jobs, load, weights, tenants, (conc, fair))| {
+        .prop_map(|(seed, jobs, load, weights, tenants, conc)| {
             let mut w = [weights[0], weights[1], weights[2], weights[3]];
             if w.iter().all(|&x| x == 0) {
                 w = [1, 1, 1, 1];
@@ -171,11 +158,6 @@ pub fn traffic_plan(max_jobs: u32) -> impl Strategy<Value = TrafficPlan> {
                 .with_weights(w)
                 .with_tenants(tenants as u16)
                 .with_concurrency(conc)
-                .with_discipline(if fair {
-                    Discipline::FairShare
-                } else {
-                    Discipline::Fifo
-                })
         })
 }
 
@@ -195,21 +177,16 @@ pub fn overload_plan(max_jobs: u32) -> impl Strategy<Value = TrafficPlan> {
         1u32..max_jobs + 1,
         2_000u64..20_000,
         (200u64..2_000, 1u64..5, crate::strategy::any::<bool>()),
-        (1u32..7, crate::strategy::any::<bool>()),
+        1u32..7,
         (0u32..4, 50u64..200, crate::strategy::any::<bool>()),
     )
         .prop_map(
-            |(seed, jobs, load, (dl_lo, dl_mul, shed), (cap, fair), (budget, base, brk))| {
+            |(seed, jobs, load, (dl_lo, dl_mul, shed), cap, (budget, base, brk))| {
                 let mut plan = TrafficPlan::new(seed)
                     .with_jobs(jobs)
                     .with_offered_load(load as f64)
                     .with_tenants(3)
                     .with_concurrency(4)
-                    .with_discipline(if fair {
-                        Discipline::FairShare
-                    } else {
-                        Discipline::Fifo
-                    })
                     .with_deadlines(dl_lo, dl_lo * dl_mul)
                     .with_queue_cap(cap);
                 if shed {
@@ -227,8 +204,7 @@ pub fn overload_plan(max_jobs: u32) -> impl Strategy<Value = TrafficPlan> {
 }
 
 /// A gray-failure plan: 1–2 fail-slow node windows (factors 1.5–8×)
-/// on nodes in `[0, nodes)`, plus — each independently half the time —
-/// one degraded directed link, one jitter storm, and the straggler
+/// on nodes in `[0, nodes)`, plus — half the time — the straggler
 /// defenses (detector + hedging + quarantine + speculative re-homing,
 /// always armed together so generated defenses are never half-wired).
 /// Windows open early and run long, like the sweep's, so detection has
@@ -237,56 +213,26 @@ pub fn slow_plan(nodes: u16) -> impl Strategy<Value = FaultPlan> {
     assert!(nodes >= 2, "slow plans need a healthy majority");
     (
         collection::vec((0u64..u64::from(nodes), 15u64..80), 1..3),
-        (
-            crate::strategy::any::<bool>(),
-            0u64..u64::from(nodes),
-            0u64..u64::from(nodes),
-            20u64..60,
-        ),
-        (crate::strategy::any::<bool>(), 5u64..40),
         crate::strategy::any::<bool>(),
         (15u64..40, 20u64..80, 2u64..12),
     )
-        .prop_map(
-            move |(
-                slowdowns,
-                (degrade, src, dst, link_tenths),
-                (storm, extra_us),
-                defend,
-                knobs,
-            )| {
-                let start = VirtualTime::from_ns(50_000);
-                let end = VirtualTime::from_ns(1_000_000_000);
-                let mut plan = FaultPlan::new();
-                for (node, tenths) in slowdowns {
-                    plan = plan.with_node_slowdown(node as u16, start, end, tenths as f64 / 10.0);
-                }
-                if degrade {
-                    // Fold `dst` away from `src` so the degraded link is
-                    // always a real inter-node edge.
-                    let dst = (src + 1 + dst % (u64::from(nodes) - 1)) % u64::from(nodes);
-                    plan = plan.with_link_degradation(
-                        src as u16,
-                        dst as u16,
-                        start,
-                        end,
-                        link_tenths as f64 / 10.0,
-                    );
-                }
-                if storm {
-                    plan = plan.with_jitter_storm(start, end, VirtualDuration::from_us(extra_us));
-                }
-                if defend {
-                    let (thresh_tenths, quar_hundreds_us, hedge_halves) = knobs;
-                    plan = plan
-                        .with_slow_detector(thresh_tenths as f64 / 10.0, 3)
-                        .with_hedging(hedge_halves as f64 / 2.0)
-                        .with_quarantine(VirtualDuration::from_us(quar_hundreds_us * 100))
-                        .with_speculative_rehoming();
-                }
-                plan
-            },
-        )
+        .prop_map(move |(slowdowns, defend, knobs)| {
+            let start = VirtualTime::from_ns(50_000);
+            let end = VirtualTime::from_ns(1_000_000_000);
+            let mut plan = FaultPlan::new();
+            for (node, tenths) in slowdowns {
+                plan = plan.with_node_slowdown(node as u16, start, end, tenths as f64 / 10.0);
+            }
+            if defend {
+                let (thresh_tenths, quar_hundreds_us, hedge_halves) = knobs;
+                plan = plan
+                    .with_slow_detector(thresh_tenths as f64 / 10.0, 3)
+                    .with_hedging(hedge_halves as f64 / 2.0)
+                    .with_quarantine(VirtualDuration::from_us(quar_hundreds_us * 100))
+                    .with_speculative_rehoming();
+            }
+            plan
+        })
 }
 
 #[cfg(test)]
@@ -370,7 +316,6 @@ mod tests {
     #[test]
     fn traffic_plans_are_installable_and_never_trivial() {
         let s = traffic_plan(24);
-        let (mut fifo, mut fair) = (0, 0);
         for seed in 0..100 {
             let p = gen(&s, seed);
             assert!(!p.is_trivial());
@@ -378,12 +323,7 @@ mod tests {
             assert!(p.weights.iter().any(|&w| w > 0), "degenerate mix: {p:?}");
             assert!(p.concurrency >= 1 && p.tenants >= 1);
             assert!(p.offered_load > 0.0);
-            match p.discipline {
-                Discipline::Fifo => fifo += 1,
-                Discipline::FairShare => fair += 1,
-            }
         }
-        assert!(fifo > 20 && fair > 20, "both disciplines must occur");
     }
 
     #[test]
@@ -416,7 +356,7 @@ mod tests {
     #[test]
     fn slow_plans_vary_every_gray_failure_axis() {
         let s = slow_plan(8);
-        let (mut degraded, mut storms, mut defended, mut multi) = (0, 0, 0, 0);
+        let (mut defended, mut multi) = (0, 0);
         for seed in 0..100 {
             let p = gen(&s, seed);
             assert!(!p.is_trivial(), "a slow plan always injects something");
@@ -429,12 +369,6 @@ mod tests {
             if p.slowdowns.len() > 1 {
                 multi += 1;
             }
-            for l in &p.degraded_links {
-                assert!(l.src < 8 && l.dst < 8 && l.src != l.dst);
-                assert!(l.factor >= 1.0);
-                degraded += 1;
-            }
-            storms += p.jitter_storms.len();
             // Defenses arm as a block: a detector without quarantine (or
             // vice versa) would be a half-wired plan no sweep ships.
             assert_eq!(p.slow_detector.is_some(), p.hedge.is_some());
@@ -445,11 +379,6 @@ mod tests {
             }
         }
         assert!(multi > 20 && multi < 80, "window count must vary: {multi}");
-        assert!(
-            degraded > 20 && degraded < 80,
-            "links must vary: {degraded}"
-        );
-        assert!(storms > 20 && storms < 80, "storms must vary: {storms}");
         assert!(
             defended > 20 && defended < 80,
             "defenses must vary: {defended}"

@@ -14,15 +14,15 @@
 //!   exponentials at [`TrafficPlan::offered_load`], drawn per-arrival
 //!   from a counter-based stream ([`earth_sim::stream_word`]), so the
 //!   arrival process never reacts to system state. Job class, size
-//!   (bounded Pareto — a few elephants among many mice), home node,
-//!   tenant, and the job's private randomness key come from sibling
-//!   lanes of the same stream: arrival *fates* are a pure function of
-//!   `(plan seed, job index)`, independent of execution interleaving.
+//!   (bounded Pareto, α = 1.5 over 4–64 work units — a few elephants
+//!   among many mice), home node, tenant, and the job's private
+//!   randomness key come from sibling lanes of the same stream: arrival
+//!   *fates* are a pure function of `(plan seed, job index)`,
+//!   independent of execution interleaving.
 //! * Admission runs in virtual time on the runtime's event loop
 //!   ([`Runtime::install_traffic`]): at most `concurrency` jobs in
-//!   flight, the rest queued FIFO or per-tenant fair-share; each
-//!   admission launches the job's root token on its (live) home node at
-//!   zero control-plane cost.
+//!   flight, the rest queued FIFO; each admission launches the job's
+//!   root token on its (live) home node at zero control-plane cost.
 //! * Accounting is exact: every job's arrive/admit/complete instants are
 //!   virtual-time stamps in the [`TrafficReport`], from which
 //!   [`summarize`] derives per-class nearest-rank p50/p95/p99 sojourns.
@@ -40,8 +40,7 @@ use earth_sim::{
 
 pub use classes::{CLASS_EIGEN, CLASS_GROEBNER, CLASS_NAMES, CLASS_NEURAL, CLASS_SEARCH};
 pub use earth_rt::{
-    BreakerPolicy, Discipline, JobArrival, JobOutcome, JobRecord, RetryPolicy, SloSummary,
-    TrafficReport,
+    BreakerPolicy, JobArrival, JobOutcome, JobRecord, RetryPolicy, SloSummary, TrafficReport,
 };
 
 /// Stream lanes for per-arrival draws. Each decision about arrival `k`
@@ -57,6 +56,13 @@ const LANE_HOME: u64 = 3;
 const LANE_TENANT: u64 = 4;
 const LANE_KEY: u64 = 5;
 const LANE_DEADLINE: u64 = 6;
+
+/// Pareto tail index of job sizes (smaller = heavier tail).
+const SIZE_ALPHA: f64 = 1.5;
+/// Smallest job size, in class work units.
+const SIZE_LO: f64 = 4.0;
+/// Largest job size (the Pareto is bounded: no infinite jobs).
+const SIZE_HI: f64 = 64.0;
 
 /// Salt deriving the retry-jitter fate seed from the plan seed, so
 /// [`TrafficPlan::with_retries`] needs no second seed parameter and the
@@ -76,18 +82,10 @@ pub struct TrafficPlan {
     /// Relative class weights, indexed by class tag
     /// (eigen/groebner/neural/search). A zero weight disables the class.
     pub weights: [u32; 4],
-    /// Pareto tail index for job sizes (smaller = heavier tail).
-    pub alpha: f64,
-    /// Smallest job size, in class work units.
-    pub size_lo: f64,
-    /// Largest job size (the Pareto is bounded: no infinite jobs).
-    pub size_hi: f64,
     /// Number of tenants arrivals are striped over.
     pub tenants: u16,
-    /// Admission limit: jobs in flight at once.
+    /// Admission limit: jobs in flight at once (the rest wait FIFO).
     pub concurrency: u32,
-    /// Queueing discipline for jobs waiting behind the limit.
-    pub discipline: Discipline,
     /// Per-job relative deadlines, drawn uniformly from this
     /// microsecond range on the deadline fate lane; `None` = no
     /// deadlines (the default).
@@ -111,12 +109,8 @@ impl TrafficPlan {
             jobs: 64,
             offered_load: 2_000.0,
             weights: [3, 2, 2, 1],
-            alpha: 1.5,
-            size_lo: 4.0,
-            size_hi: 64.0,
             tenants: 3,
             concurrency: 8,
-            discipline: Discipline::Fifo,
             deadline_us: None,
             queue_cap: None,
             deadline_shedding: false,
@@ -145,18 +139,6 @@ impl TrafficPlan {
         self
     }
 
-    /// Set the bounded-Pareto size distribution.
-    pub fn with_sizes(mut self, alpha: f64, lo: f64, hi: f64) -> Self {
-        assert!(
-            alpha > 0.0 && lo >= 1.0 && hi >= lo,
-            "bad size distribution"
-        );
-        self.alpha = alpha;
-        self.size_lo = lo;
-        self.size_hi = hi;
-        self
-    }
-
     /// Set the tenant count.
     pub fn with_tenants(mut self, tenants: u16) -> Self {
         assert!(tenants >= 1, "need at least one tenant");
@@ -168,12 +150,6 @@ impl TrafficPlan {
     pub fn with_concurrency(mut self, concurrency: u32) -> Self {
         assert!(concurrency >= 1, "concurrency limit must admit something");
         self.concurrency = concurrency;
-        self
-    }
-
-    /// Set the queueing discipline.
-    pub fn with_discipline(mut self, discipline: Discipline) -> Self {
-        self.discipline = discipline;
         self
     }
 
@@ -282,7 +258,7 @@ impl TrafficPlan {
             }
 
             let su = unit_f64(stream_word(self.seed, LANE_SIZE, k));
-            let size = bounded_pareto(su, self.alpha, self.size_lo, self.size_hi).round() as u32;
+            let size = bounded_pareto(su, SIZE_ALPHA, SIZE_LO, SIZE_HI).round() as u32;
             let home = NodeId((stream_word(self.seed, LANE_HOME, k) % nodes as u64) as u16);
             let tenant = (stream_word(self.seed, LANE_TENANT, k) % self.tenants as u64) as u16;
             let key = stream_word(self.seed, LANE_KEY, k);
@@ -316,7 +292,7 @@ impl TrafficPlan {
         }
         let fns = classes::register(rt);
         let arrivals = self.arrivals(&fns, rt.num_nodes());
-        rt.install_traffic_with(arrivals, self.concurrency, self.discipline, self.policy());
+        rt.install_traffic(arrivals, self.concurrency, self.policy());
     }
 }
 
@@ -488,24 +464,6 @@ mod tests {
         for (ra, rb) in a.traffic().jobs.iter().zip(&b.traffic().jobs) {
             assert_eq!(ra.arrive, rb.arrive);
         }
-    }
-
-    #[test]
-    fn fair_share_spreads_admissions_across_tenants() {
-        let base = TrafficPlan::new(17)
-            .with_jobs(48)
-            .with_tenants(4)
-            .with_concurrency(2);
-        let fifo = run_traffic(&base.clone().with_discipline(Discipline::Fifo), 8, 2);
-        let fair = run_traffic(&base.with_discipline(Discipline::FairShare), 8, 2);
-        assert_eq!(fifo.traffic().completed, 48);
-        assert_eq!(fair.traffic().completed, 48);
-        // Both drain the same stream; the discipline only reorders
-        // admission instants.
-        let admits = |r: &TrafficRun| -> Vec<VirtualTime> {
-            r.traffic().jobs.iter().map(|j| j.admit.unwrap()).collect()
-        };
-        assert_ne!(admits(&fifo), admits(&fair), "disciplines never differed");
     }
 
     #[test]

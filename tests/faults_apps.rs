@@ -82,12 +82,12 @@ fn faulted_runs_are_seed_deterministic() {
 
 #[test]
 fn none_plan_is_byte_identical_to_no_fault_plane() {
-    // FaultPlan::none() must normalize away entirely: no reliability
+    // The empty FaultPlan::new() must normalize away entirely: no reliability
     // layer, no envelope bytes, no extra draws — the run is the same
     // run, byte for byte.
     let m = SymTridiagonal::random_clustered(30, 2, 3);
     let plain = run_eigen(&m, 1e-6, 8, 5, FetchMode::Block);
-    let cfg = MachineConfig::manna(8).with_faults(FaultPlan::none());
+    let cfg = MachineConfig::manna(8).with_faults(FaultPlan::new());
     let none = run_eigen_on(&m, 1e-6, cfg, 5, FetchMode::Block);
     assert_eq!(plain.eigenvalues, none.eigenvalues);
     assert_eq!(format!("{:?}", plain.report), format!("{:?}", none.report));
