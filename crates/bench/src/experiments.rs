@@ -861,7 +861,7 @@ pub fn scale_topologies() -> [TopologyKind; 4] {
         TopologyKind::Crossbar,
         TopologyKind::Hypercube,
         TopologyKind::Torus3D,
-        TopologyKind::fat_tree(),
+        TopologyKind::FatTree,
     ]
 }
 

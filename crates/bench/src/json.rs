@@ -318,12 +318,12 @@ impl crate::traffic_sweep::TrafficTable {
                 c.nodes,
                 c.completed,
                 num(c.makespan.as_us_f64()),
-                c.sojourn.n,
-                num(c.sojourn.mean_ns / 1_000.0),
+                c.sojourn.summary.n,
+                num(c.sojourn.summary.mean / 1_000.0),
                 num(c.sojourn.p50_ns / 1_000.0),
                 num(c.sojourn.p95_ns / 1_000.0),
                 num(c.sojourn.p99_ns / 1_000.0),
-                num(c.sojourn.max_ns / 1_000.0)
+                num(c.sojourn.summary.max / 1_000.0)
             );
         }
         cells.push(']');

@@ -15,8 +15,7 @@
 
 use crate::workloads::par_map;
 use earth_machine::{FaultPlan, MachineConfig};
-use earth_sim::VirtualTime;
-use earth_testkit::bench::{stats, Stats};
+use earth_sim::{nearest_rank, Summary, VirtualTime};
 use earth_traffic::{run_traffic_on, TrafficPlan, TrafficRun};
 
 /// The stream seed every cell shares: cells on the same machine size
@@ -38,12 +37,29 @@ fn lossy(plan: FaultPlan) -> FaultPlan {
     plan.with_drop(0.01).with_duplicate(0.005)
 }
 
-/// Nearest-rank sojourn statistics over a run's completed jobs, in
-/// nanoseconds.
-pub(crate) fn sojourn_stats(run: &TrafficRun) -> Stats {
+/// Sojourn statistics over a run's completed jobs, in nanoseconds.
+pub struct SojournDigest {
+    /// Count, mean, extremes and sample deviation.
+    pub summary: Summary,
+    /// Nearest-rank 50th percentile.
+    pub p50_ns: f64,
+    /// Nearest-rank 95th percentile.
+    pub p95_ns: f64,
+    /// Nearest-rank 99th percentile.
+    pub p99_ns: f64,
+}
+
+/// The sojourn digest of a run's completed jobs.
+pub(crate) fn sojourn_digest(run: &TrafficRun) -> SojournDigest {
+    // `sojourns_us` is sorted ascending, the order `nearest_rank` reads.
     let sojourns_us = run.traffic().sojourns_us(None);
-    let sojourns_ns: Vec<f64> = sojourns_us.iter().map(|us| us * 1_000.0).collect();
-    stats(&sojourns_ns)
+    let ns: Vec<f64> = sojourns_us.iter().map(|us| us * 1_000.0).collect();
+    SojournDigest {
+        summary: Summary::of(&ns),
+        p50_ns: nearest_rank(&ns, 0.50),
+        p95_ns: nearest_rank(&ns, 0.95),
+        p99_ns: nearest_rank(&ns, 0.99),
+    }
 }
 
 /// One grid point of an open-loop sweep.

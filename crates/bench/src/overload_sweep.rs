@@ -17,7 +17,7 @@
 //! plane holding its floor while the reliability and recovery planes
 //! are busy underneath it.
 
-use crate::open_loop::{run_open_loop, sojourn_stats, Point, STREAM_SEED};
+use crate::open_loop::{run_open_loop, sojourn_digest, Point, STREAM_SEED};
 use earth_machine::FaultPlan;
 use earth_sim::VirtualDuration;
 use earth_traffic::{SloSummary, TrafficPlan, TrafficRun};
@@ -124,7 +124,7 @@ fn cell(p: Point, run: TrafficRun) -> OverloadCell {
         breaker_opens: t.breaker_opens,
         sheds: t.expirations,
         peak_waiting: t.peak_waiting,
-        p99_us: sojourn_stats(&run).p99_ns / 1_000.0,
+        p99_us: sojourn_digest(&run).p99_ns / 1_000.0,
         makespan: run.report.elapsed,
     }
 }

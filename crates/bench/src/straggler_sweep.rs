@@ -19,7 +19,7 @@
 //! stragglers, showing the detector separating fail-slow from
 //! fail-stop while both planes are live.
 
-use crate::open_loop::{run_open_loop, sojourn_stats, Point, STREAM_SEED};
+use crate::open_loop::{run_open_loop, sojourn_digest, Point, STREAM_SEED};
 use earth_machine::FaultPlan;
 use earth_sim::{VirtualDuration, VirtualTime};
 use earth_traffic::{SloSummary, TrafficPlan, TrafficRun};
@@ -164,7 +164,7 @@ fn cell(p: Point, run: TrafficRun) -> StragglerCell {
         hedges_won: r.total_hedges_won(),
         quarantines: r.total_quarantines(),
         speculated: r.total_speculated(),
-        p99_us: sojourn_stats(&run).p99_ns / 1_000.0,
+        p99_us: sojourn_digest(&run).p99_ns / 1_000.0,
         makespan: r.elapsed,
     }
 }

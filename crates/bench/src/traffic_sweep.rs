@@ -3,17 +3,17 @@
 //! An offered-load × machine-size grid of open-loop job streams pushed
 //! through the admission/queueing front-end, reporting per-cell
 //! tail-latency digests: aggregate sojourn statistics over every
-//! completed job (via the testkit's nearest-rank
-//! [`stats`](earth_testkit::bench::stats)) and the per-class
+//! completed job ([`SojournDigest`]: count, mean and max from
+//! [`earth_sim::Summary`], nearest-rank percentiles) and the per-class
 //! p50/p95/p99 breakdown. The heaviest grid point is rerun twice more
 //! as degradation variants (see `open_loop.rs`), so the sweep always
 //! exercises admission re-homing and recovery replay, not just the
 //! happy path.
 
-use crate::open_loop::{run_open_loop, sojourn_stats, Point, STREAM_SEED};
+pub use crate::open_loop::SojournDigest;
+use crate::open_loop::{run_open_loop, sojourn_digest, Point, STREAM_SEED};
 use earth_machine::FaultPlan;
 use earth_sim::VirtualDuration;
-use earth_testkit::bench::Stats;
 use earth_traffic::{ClassSummary, TrafficPlan, TrafficRun};
 use std::fmt::Write as _;
 
@@ -32,7 +32,7 @@ pub struct TrafficCell {
     pub makespan: VirtualDuration,
     /// Aggregate sojourn statistics over all completed jobs, in
     /// nanoseconds (nearest-rank percentiles).
-    pub sojourn: Stats,
+    pub sojourn: SojournDigest,
     /// Per-class p50/p95/p99 sojourn breakdown, microseconds.
     pub classes: Vec<ClassSummary>,
 }
@@ -68,7 +68,7 @@ fn cell(p: Point, run: TrafficRun) -> TrafficCell {
         nodes: p.nodes,
         completed: run.traffic().completed,
         makespan: run.report.elapsed,
-        sojourn: sojourn_stats(&run),
+        sojourn: sojourn_digest(&run),
         classes: run.summaries(),
     }
 }

@@ -4,8 +4,8 @@
 //! node memories as one global address space addressed by (node, offset).
 //! This module models one node's share: a flat byte array with a bump
 //! allocator. Applications allocate regions (replicated matrices, weight
-//! slices, mailboxes for split-phase transfers) and read/write them through
-//! the typed helpers.
+//! slices, mailboxes for split-phase transfers) and read/write them as
+//! bytes.
 
 /// One node's local memory.
 pub struct Memory {
@@ -62,43 +62,6 @@ impl Memory {
         assert!(o + bytes.len() <= self.data.len(), "write past allocation");
         self.data[o..o + bytes.len()].copy_from_slice(bytes);
     }
-
-    /// Read a little-endian `f64` at `offset`.
-    pub fn read_f64(&self, offset: u32) -> f64 {
-        f64::from_le_bytes(self.read(offset, 8).try_into().unwrap())
-    }
-
-    /// Write a little-endian `f64` at `offset`.
-    pub fn write_f64(&mut self, offset: u32, v: f64) {
-        self.write(offset, &v.to_le_bytes());
-    }
-
-    /// Read a little-endian `u32` at `offset`.
-    pub fn read_u32(&self, offset: u32) -> u32 {
-        u32::from_le_bytes(self.read(offset, 4).try_into().unwrap())
-    }
-
-    /// Write a little-endian `u32` at `offset`.
-    pub fn write_u32(&mut self, offset: u32, v: u32) {
-        self.write(offset, &v.to_le_bytes());
-    }
-
-    /// Read `n` consecutive little-endian `f32`s starting at `offset`.
-    pub fn read_f32s(&self, offset: u32, n: u32) -> Vec<f32> {
-        self.read(offset, n * 4)
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect()
-    }
-
-    /// Write a slice of `f32`s starting at `offset`.
-    pub fn write_f32s(&mut self, offset: u32, vals: &[f32]) {
-        let mut buf = Vec::with_capacity(vals.len() * 4);
-        for v in vals {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        self.write(offset, &buf);
-    }
 }
 
 #[cfg(test)]
@@ -122,19 +85,10 @@ mod tests {
         let a = m.alloc(16);
         m.write(a, &[1, 2, 3, 4]);
         assert_eq!(m.read(a, 4), &[1, 2, 3, 4]);
-        m.write_f64(a + 8, 3.25);
-        assert_eq!(m.read_f64(a + 8), 3.25);
-        m.write_u32(a, 0xDEAD_BEEF);
-        assert_eq!(m.read_u32(a), 0xDEAD_BEEF);
-    }
-
-    #[test]
-    fn f32_vectors_roundtrip() {
-        let mut m = Memory::new(1 << 20);
-        let a = m.alloc(40);
-        let v: Vec<f32> = (0..10).map(|i| i as f32 * 0.5).collect();
-        m.write_f32s(a, &v);
-        assert_eq!(m.read_f32s(a, 10), v);
+        m.write(a + 8, &3.25f64.to_le_bytes());
+        assert_eq!(m.read(a + 8, 8), &3.25f64.to_le_bytes());
+        m.write(a, &0xDEAD_BEEFu32.to_le_bytes());
+        assert_eq!(m.read(a, 4), &0xDEAD_BEEFu32.to_le_bytes());
     }
 
     #[test]

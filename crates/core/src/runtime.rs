@@ -156,8 +156,6 @@ pub struct Runtime {
     /// What `processed` was made of, by kind and no-op outcome.
     counts: EventCounts,
     max_events: u64,
-    /// Master switch for the dynamic load balancer.
-    pub(crate) stealing_enabled: bool,
     /// Optional execution trace.
     trace: Option<Trace>,
     /// Optional overhead-accounting collector (earth-profile).
@@ -255,7 +253,6 @@ impl Runtime {
             processed: 0,
             counts: EventCounts::default(),
             max_events: DEFAULT_MAX_EVENTS,
-            stealing_enabled: true,
             trace: None,
             profile: None,
             max_cp: VirtualDuration::ZERO,
@@ -266,21 +263,12 @@ impl Runtime {
         }
     }
 
-    /// Start recording per-node activity spans (see [`crate::trace`]).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Trace::default());
-    }
-
-    /// Take the recorded trace (empty if tracing was never enabled).
-    pub fn take_trace(&mut self) -> Trace {
-        self.trace.take().unwrap_or_default()
-    }
-
     /// Start earth-profile collection: overhead decomposition per node,
-    /// activity trace, and network link occupancy. Free in virtual time —
-    /// a profiled run's report is identical to an unprofiled one.
+    /// activity trace (see [`crate::trace`]), and network link occupancy.
+    /// Free in virtual time — a profiled run's report is identical to an
+    /// unprofiled one.
     pub fn enable_profile(&mut self) {
-        self.enable_trace();
+        self.trace = Some(Trace::default());
         self.net.enable_occupancy();
         if self.profile.is_none() {
             self.profile = Some(ProfileState::with_nodes(self.nodes.len()));
@@ -300,7 +288,7 @@ impl Runtime {
         }
         RunProfile {
             nodes,
-            trace: self.take_trace(),
+            trace: self.trace.take().unwrap_or_default(),
             su_spans: st.su_spans,
             links: self.net.take_occupancy(),
             fault_events: self.net.take_fault_events(),
@@ -322,12 +310,6 @@ impl Runtime {
     /// Number of nodes.
     pub fn num_nodes(&self) -> u16 {
         self.nodes.len() as u16
-    }
-
-    /// Disable the token load balancer (tokens then run only where they
-    /// were created) — used by the load-balancing ablation.
-    pub fn set_stealing(&mut self, enabled: bool) {
-        self.stealing_enabled = enabled;
     }
 
     /// Override the runaway-event guard.
@@ -1172,10 +1154,7 @@ impl Runtime {
         // Fail-slow plane: inside a planned slowdown window every EU/SU
         // cost this round stretches by the window's factor — the node
         // keeps working, just slower, which is exactly what distinguishes
-        // gray failure from the crash plane's fail-stop. The factor is
-        // queried through the precompiled-segment cursor (event-loop pop
-        // times are globally non-decreasing, so the forward-only cursor
-        // is safe here, unlike the network's send path). `slow_flags` is
+        // gray failure from the crash plane's fail-stop. `slow_flags` is
         // empty unless the plan schedules slowdowns, so clean runs skip
         // the query and `scale` is exact identity (1.0 shortcuts below).
         let slow_factor = if self.slow_flags.is_empty() {
@@ -1363,9 +1342,8 @@ impl Runtime {
 
     /// Reference steal-victim enumeration: the original full O(nodes)
     /// scan. `try_steal` asserts its indexed fast path against this in
-    /// debug builds (the same scan-vs-index proof template as the fault
-    /// plane's `slow_factor` cursor), and the property suite drives the
-    /// two through randomized mutation sequences.
+    /// debug builds, and the property suite drives the two through
+    /// randomized mutation sequences.
     fn steal_victims_scan(&self, node: NodeId, t: VirtualTime) -> Vec<NodeId> {
         let avoid = |i: usize| {
             self.recover
@@ -1381,8 +1359,7 @@ impl Runtime {
 
     fn should_steal(&self, t: VirtualTime, node: NodeId) -> bool {
         let n = &self.nodes[node.index()];
-        self.stealing_enabled
-            && self.nodes.len() > 1
+        self.nodes.len() > 1
             && self.global_tokens > 0
             && !n.stealing
             && t >= n.steal_cooldown
@@ -1445,7 +1422,7 @@ impl Runtime {
     /// (On the real machine idle nodes poll continuously; the simulator
     /// represents that standing poll as an explicit zero-cost wake.)
     pub(crate) fn poke_idle(&mut self, at: VirtualTime) {
-        if !self.stealing_enabled || self.global_tokens == 0 {
+        if self.global_tokens == 0 {
             return;
         }
         for i in 0..self.nodes.len() {
@@ -1852,8 +1829,7 @@ mod tests {
 
     /// Drive the token-holder index through randomized queue mutations and
     /// assert the steal-victim enumeration stays byte-identical to the
-    /// reference full scan — same template as the fault plane's
-    /// `slow_factor` cursor-vs-scan proof.
+    /// reference full scan.
     fn dummy_token() -> Token {
         Token {
             func: FuncId(0),

@@ -1,13 +1,15 @@
 //! Execution tracing: per-node activity intervals and a text timeline.
 //!
-//! When enabled (see [`Runtime::enable_trace`]), the runtime records one
-//! interval per scheduling round — which node was busy, when, for how
-//! long, and what it was doing. [`Trace::timeline`] renders the classic
+//! When profiling is enabled (see [`Runtime::enable_profile`]), the
+//! runtime records one interval per scheduling round — which node was
+//! busy, when, for how long, and what it was doing — and hands them back
+//! as [`RunProfile::trace`]. [`Trace::timeline`] renders the classic
 //! utilization Gantt as text, which is how we inspected the Gröbner
 //! idle-phase structure during development; the harness exposes it for
 //! any experiment.
 //!
-//! [`Runtime::enable_trace`]: crate::Runtime::enable_trace
+//! [`Runtime::enable_profile`]: crate::Runtime::enable_profile
+//! [`RunProfile::trace`]: crate::RunProfile::trace
 
 use earth_machine::NodeId;
 use earth_sim::{VirtualDuration, VirtualTime};

@@ -177,22 +177,6 @@ fn tokens_spread_across_nodes() {
 }
 
 #[test]
-fn stealing_disabled_serializes_on_origin() {
-    let mut rt = Runtime::new(MachineConfig::manna(8), 3);
-    rt.set_stealing(false);
-    let burn = rt.register("burn", burn_ctor);
-    for _ in 0..16 {
-        let mut a = ArgsWriter::new();
-        a.u64(500);
-        rt.inject_token(burn, a.finish());
-    }
-    let report = rt.run();
-    assert!(report.is_clean());
-    assert_eq!(report.nodes[0].tokens_run, 16);
-    assert!(report.elapsed.as_ms_f64() >= 8.0, "{}", report.elapsed);
-}
-
-#[test]
 fn single_node_machine_runs_tokens_locally() {
     let mut rt = Runtime::new(MachineConfig::manna(1), 5);
     let burn = rt.register("burn", burn_ctor);
@@ -510,7 +494,7 @@ fn dual_processor_mode_offloads_message_handling() {
 #[test]
 fn trace_records_activity_and_renders_timeline() {
     let mut rt = Runtime::new(MachineConfig::manna(4), 9);
-    rt.enable_trace();
+    rt.enable_profile();
     let burn = rt.register("burn", burn_ctor);
     for _ in 0..16 {
         let mut a = ArgsWriter::new();
@@ -518,7 +502,7 @@ fn trace_records_activity_and_renders_timeline() {
         rt.inject_token(burn, a.finish());
     }
     let report = rt.run();
-    let trace = rt.take_trace();
+    let trace = rt.take_profile().trace;
     assert!(!trace.spans.is_empty());
     // Trace busy time matches the report's per-node busy accounting.
     for (i, ns) in report.nodes.iter().enumerate() {

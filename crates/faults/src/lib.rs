@@ -415,59 +415,15 @@ pub struct FaultState {
     nodes: u16,
     /// Per-link message counters indexing the counter-based stream.
     counters: Vec<u64>,
-    /// Per-node slowdown step function: disjoint `(start, end, factor)`
-    /// segments sorted by start (overlap takes the max factor), compiled
-    /// once at construction so the per-event query never rescans the
-    /// plan.
-    slow_segs: Vec<Vec<(VirtualTime, VirtualTime, f64)>>,
-    /// Per-node forward-only cursor into `slow_segs`. Only the
-    /// runtime's event-loop queries (which ride globally non-decreasing
-    /// pop times) may use the cursor; network send-path queries can
-    /// regress and must use [`FaultState::slow_factor_scan`].
-    slow_cursor: Vec<usize>,
-}
-
-/// Compile one node's fail-slow windows into the disjoint
-/// `(start, end, factor)` segments of `max { factor : start <= t < end }`
-/// — the exact step function the linear scan computes, including the
-/// "overlap takes the largest factor *among covering windows*" shape (a
-/// window starting later than `t` must not contribute even when it
-/// overlaps an active one).
-fn slow_segments(windows: &[SlowdownWindow], node: u16) -> Vec<(VirtualTime, VirtualTime, f64)> {
-    let mine: Vec<&SlowdownWindow> = windows.iter().filter(|w| w.node == node).collect();
-    if mine.is_empty() {
-        return Vec::new();
-    }
-    let mut cuts: Vec<VirtualTime> = mine.iter().flat_map(|w| [w.start, w.end]).collect();
-    cuts.sort_unstable();
-    cuts.dedup();
-    let mut segs: Vec<(VirtualTime, VirtualTime, f64)> = Vec::new();
-    for pair in cuts.windows(2) {
-        let (a, b) = (pair[0], pair[1]);
-        let factor = mine
-            .iter()
-            .filter(|w| w.start <= a && a < w.end)
-            .map(|w| w.factor)
-            .fold(None, |acc: Option<f64>, f| {
-                Some(acc.map_or(f, |m| m.max(f)))
-            });
-        if let Some(f) = factor {
-            match segs.last_mut() {
-                // Coalesce abutting equal-factor segments; different
-                // factors must stay split to preserve scan answers.
-                Some(last) if last.1 == a && last.2 == f => last.1 = b,
-                _ => segs.push((a, b, f)),
-            }
-        }
-    }
-    segs
 }
 
 impl FaultState {
     /// Compile `plan` for a `nodes`-node machine. `seed` should come
     /// from the machine's master seed through a dedicated salt so fault
     /// draws never overlap the latency-jitter stream. Panics if a
-    /// slowdown window names a node the machine does not have.
+    /// slowdown window names a node the machine does not have, or if
+    /// quarantine or speculative re-homing is armed without the slow
+    /// detector whose verdicts they act on.
     pub fn new(plan: FaultPlan, seed: u64, nodes: u16) -> Self {
         for w in &plan.slowdowns {
             assert!(
@@ -477,17 +433,18 @@ impl FaultState {
                 nodes
             );
         }
+        assert!(
+            plan.slow_detector.is_some()
+                || (plan.quarantine.is_none() && !plan.speculative_rehoming),
+            "quarantine and speculative re-homing act only on the slow \
+             detector's verdicts: arm with_slow_detector"
+        );
         let n = nodes as usize;
-        let slow_segs = (0..nodes)
-            .map(|i| slow_segments(&plan.slowdowns, i))
-            .collect();
         FaultState {
             plan,
             seed,
             nodes,
             counters: vec![0; n * n],
-            slow_segs,
-            slow_cursor: vec![0; n],
         }
     }
 
@@ -528,33 +485,11 @@ impl FaultState {
         Fate::Deliver
     }
 
-    /// Fail-slow multiplier for `node`'s EU/SU costs at `t`, via the
-    /// precompiled segments and a forward-only cursor.
-    ///
-    /// Only safe for the runtime's event-loop queries, whose times ride
-    /// the globally non-decreasing pop order; the network's send path
-    /// can query backwards (an ack transmit triggered by a delivery can
-    /// precede an already-computed in-round send instant) and must use
-    /// [`FaultState::slow_factor_scan`].
-    pub fn slow_factor(&mut self, node: u16, t: VirtualTime) -> f64 {
-        let segs = &self.slow_segs[node as usize];
-        if segs.is_empty() {
-            return 1.0;
-        }
-        let cur = &mut self.slow_cursor[node as usize];
-        while *cur < segs.len() && segs[*cur].1 <= t {
-            *cur += 1;
-        }
-        match segs.get(*cur) {
-            Some(&(start, _, f)) if start <= t => f,
-            _ => 1.0,
-        }
-    }
-
-    /// Reference (and send-path) implementation of
-    /// [`FaultState::slow_factor`]: a linear scan over the raw windows,
-    /// valid for queries in any time order.
-    pub fn slow_factor_scan(&self, node: u16, t: VirtualTime) -> f64 {
+    /// Fail-slow multiplier for `node`'s EU/SU costs and outbound
+    /// flights at `t`: the largest factor among the windows covering
+    /// `t`, or 1.0. A linear scan over the plan's windows (a handful on
+    /// every workload), valid for queries in any time order.
+    pub fn slow_factor(&self, node: u16, t: VirtualTime) -> f64 {
         self.plan
             .slowdowns
             .iter()
@@ -706,40 +641,20 @@ mod tests {
     }
 
     #[test]
-    fn slow_factor_cursor_matches_linear_scan_on_monotone_queries() {
-        // Overlapping / nested / abutting slowdown windows, probed in
-        // event order: precompiled segments must reproduce the scan.
-        let plan = FaultPlan::new()
-            .with_node_slowdown(0, t(10), t(20), 2.0)
-            .with_node_slowdown(0, t(15), t(40), 8.0)
-            .with_node_slowdown(0, t(40), t(45), 3.0)
-            .with_node_slowdown(1, t(5), t(50), 4.0)
-            .with_node_slowdown(1, t(8), t(12), 2.0)
-            .with_node_slowdown(2, t(30), t(31), 16.0);
-        let mut fast = FaultState::new(plan, 11, 4);
-        let slow = fast.clone();
-        for us in 0..60u64 {
-            for node in 0..4u16 {
-                assert_eq!(
-                    fast.slow_factor(node, t(us)),
-                    slow.slow_factor_scan(node, t(us)),
-                    "node {node} at {us}us"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn slow_factor_is_exact_at_window_edges() {
         let plan = FaultPlan::new()
             .with_node_slowdown(2, t(10), t(20), 2.0)
-            .with_node_slowdown(2, t(20), t(30), 4.0);
-        let mut st = FaultState::new(plan, 1, 4);
+            .with_node_slowdown(2, t(20), t(30), 4.0)
+            .with_node_slowdown(1, t(0), t(50), 2.0)
+            .with_node_slowdown(1, t(10), t(20), 8.0);
+        let st = FaultState::new(plan, 1, 4);
         assert_eq!(st.slow_factor(2, t(9)), 1.0);
         assert_eq!(st.slow_factor(2, t(19)), 2.0);
         assert_eq!(st.slow_factor(2, t(20)), 4.0, "abutting factors stay split");
         assert_eq!(st.slow_factor(2, t(30)), 1.0, "end is exclusive");
         assert_eq!(st.slow_factor(3, t(15)), 1.0, "other nodes unaffected");
+        assert_eq!(st.slow_factor(1, t(15)), 8.0, "overlap takes the largest");
+        assert_eq!(st.slow_factor(1, t(25)), 2.0, "the outer window outlives");
     }
 
     #[test]
@@ -747,6 +662,20 @@ mod tests {
     fn slowdown_window_outside_the_machine_is_rejected() {
         let plan = FaultPlan::new().with_node_slowdown(70, t(0), t(10_000_000), 8.0);
         let _ = FaultState::new(plan, 1, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "act only on the slow detector's verdicts")]
+    fn quarantine_without_the_slow_detector_is_rejected() {
+        let plan = FaultPlan::new().with_quarantine(VirtualDuration::from_ms(20));
+        let _ = FaultState::new(plan, 1, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "act only on the slow detector's verdicts")]
+    fn speculative_rehoming_without_the_slow_detector_is_rejected() {
+        let plan = FaultPlan::new().with_speculative_rehoming();
+        let _ = FaultState::new(plan, 1, 8);
     }
 
     #[test]

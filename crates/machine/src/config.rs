@@ -12,7 +12,7 @@
 //!   These numbers approximate efficient OS-level messaging and standard
 //!   libraries such as MPI on mid-90s hardware.
 
-use crate::topology::{AnyTopology, NodeId, Topology, TopologyKind};
+use crate::topology::{AnyTopology, TopologyKind};
 use earth_faults::FaultPlan;
 use earth_sim::VirtualDuration;
 
@@ -44,8 +44,6 @@ pub struct EarthCosts {
     pub frame_setup: VirtualDuration,
     /// Enqueueing / dequeueing a load-balancer token.
     pub token_op: VirtualDuration,
-    /// One check of the polling watchdog that finds nothing.
-    pub poll_empty: VirtualDuration,
 }
 
 impl Default for EarthCosts {
@@ -57,7 +55,6 @@ impl Default for EarthCosts {
             thread_switch: VirtualDuration::from_ns(600),
             frame_setup: VirtualDuration::from_ns(2_000),
             token_op: VirtualDuration::from_ns(1_500),
-            poll_empty: VirtualDuration::from_ns(200),
         }
     }
 }
@@ -237,20 +234,6 @@ impl MachineConfig {
     pub fn interconnect(&self) -> AnyTopology {
         self.topology.build(self.nodes, self.cluster_size)
     }
-
-    /// Pure wire time for `bytes` from `src` to `dst`: per-stage switch
-    /// latency (hops × contention under the configured topology) plus
-    /// serialization at link bandwidth. Zero for local transfers.
-    pub fn transfer_time(&self, src: NodeId, dst: NodeId, bytes: u32) -> VirtualDuration {
-        let topo = self.interconnect();
-        let h = topo.hops(src, dst) as u64 * topo.contention(src, dst) as u64;
-        if h == 0 {
-            return VirtualDuration::ZERO;
-        }
-        let serialize =
-            VirtualDuration::from_us_f64(bytes as f64 / self.link_bytes_per_sec as f64 * 1.0e6);
-        self.wire_latency + self.hop_latency.times(h) + serialize
-    }
 }
 
 #[cfg(test)]
@@ -272,19 +255,6 @@ mod tests {
         assert!(m.faults.is_none(), "FaultPlan::new() must be provably free");
         let m = MachineConfig::manna(4).with_faults(FaultPlan::new().with_drop(0.01));
         assert!(m.faults.is_some());
-    }
-
-    #[test]
-    fn transfer_time_scales_with_bytes_and_distance() {
-        let m = MachineConfig::manna(20);
-        let local = m.transfer_time(NodeId(3), NodeId(3), 1_000_000);
-        assert_eq!(local, VirtualDuration::ZERO);
-        let near = m.transfer_time(NodeId(0), NodeId(1), 1_000);
-        let far = m.transfer_time(NodeId(0), NodeId(17), 1_000);
-        assert!(far > near, "cross-cluster should cost more hops");
-        let big = m.transfer_time(NodeId(0), NodeId(1), 1_000_000);
-        // 1 MB at 50 MB/s = 20 ms of serialization
-        assert!((big.as_ms_f64() - 20.0).abs() < 0.1, "got {big}");
     }
 
     #[test]

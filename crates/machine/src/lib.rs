@@ -13,7 +13,7 @@
 //!
 //! * [`topology`] — node identity and the pluggable interconnects: the
 //!   [`Topology`] trait (hop count + per-stage contention) with
-//!   hierarchical-crossbar (default), hypercube, 2D/3D torus, and fat-tree
+//!   hierarchical-crossbar (default), hypercube, 3D torus, and fat-tree
 //!   implementations selected via [`TopologyKind`] on the machine config;
 //! * [`network`] — message timing: per-hop latency, per-byte serialization
 //!   at the sender NIC (which also models back-pressure: a node's link can

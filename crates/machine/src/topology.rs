@@ -118,7 +118,7 @@ impl Topology for Hypercube {
     }
 }
 
-/// k-ary torus (2D or 3D): nodes at the points of a wrapped grid, one
+/// k-ary 3D torus: nodes at the points of a wrapped grid, one
 /// bidirectional ring per row/column/pillar. Hops are the wraparound
 /// Manhattan distance under dimension-ordered routing. Ring links are
 /// shared by every route through their row, so each dimension the route
@@ -127,22 +127,11 @@ impl Topology for Hypercube {
 pub struct Torus {
     /// Nodes spanned (`dims[0] * dims[1] * dims[2]`).
     pub nodes: u16,
-    /// Grid extents; a 2D torus has `dims[2] == 1`.
+    /// Grid extents (x, y, z).
     pub dims: [u16; 3],
 }
 
 impl Torus {
-    /// A 2D torus over the most-square factorization of `nodes`
-    /// (e.g. 20 → 5×4, 1024 → 32×32). Prime node counts degenerate to a
-    /// ring, which is still a valid (1 × n) torus.
-    pub fn two_d(nodes: u16) -> Self {
-        let (a, b) = squarest_factors(nodes);
-        Torus {
-            nodes,
-            dims: [a, b, 1],
-        }
-    }
-
     /// A 3D torus over the most-cubic factorization of `nodes`
     /// (e.g. 64 → 4×4×4, 1024 → 16×8×8).
     pub fn three_d(nodes: u16) -> Self {
@@ -183,31 +172,33 @@ impl Topology for Torus {
     }
 }
 
-/// Fat tree: leaves in pods of `arity`, switches at level `l` spanning
-/// `arity^l` leaves. A route climbs to the lowest common ancestor and
-/// back down, so hops are `2 × lca_level`. Leaf switches have full
-/// bisection bandwidth; every level above them is oversubscribed by
-/// `oversub`, so routes through level `l` see `oversub^(l-1)` expected
-/// queueing per stage. `oversub == 1` models Leiserson's true fat tree
-/// (constant bandwidth per level, contention-free).
+/// A conventional oversubscribed cluster fat tree: leaves in pods of
+/// [`FatTree::ARITY`], switches at level `l` spanning `ARITY^l` leaves.
+/// A route climbs to the lowest common ancestor and back down, so hops
+/// are `2 × lca_level`. Leaf switches have full bisection bandwidth;
+/// every level above them is oversubscribed by [`FatTree::OVERSUB`], so
+/// routes through level `l` see `OVERSUB^(l-1)` expected queueing per
+/// stage.
 #[derive(Clone, Copy, Debug)]
 pub struct FatTree {
     /// Nodes spanned (leaves).
     pub nodes: u16,
-    /// Leaves per leaf switch, and the branching factor above.
-    pub arity: u16,
-    /// Bandwidth taper per level above the leaf switches.
-    pub oversub: u16,
 }
 
 impl FatTree {
+    /// Leaves per leaf switch (8-port leaf switches), and the branching
+    /// factor above.
+    pub const ARITY: u16 = 8;
+    /// Bandwidth taper per level above the leaf switches (2:1).
+    pub const OVERSUB: u32 = 2;
+
     /// Level of the lowest common ancestor switch (1 = same leaf switch).
     fn lca_level(&self, src: NodeId, dst: NodeId) -> u32 {
-        let (mut a, mut b) = (src.0 / self.arity, dst.0 / self.arity);
+        let (mut a, mut b) = (src.0 / Self::ARITY, dst.0 / Self::ARITY);
         let mut level = 1;
         while a != b {
-            a /= self.arity;
-            b /= self.arity;
+            a /= Self::ARITY;
+            b /= Self::ARITY;
             level += 1;
         }
         level
@@ -229,7 +220,7 @@ impl Topology for FatTree {
         if src == dst {
             1
         } else {
-            (self.oversub as u32).pow(self.lca_level(src, dst) - 1)
+            Self::OVERSUB.pow(self.lca_level(src, dst) - 1)
         }
     }
 }
@@ -246,37 +237,20 @@ pub enum TopologyKind {
     Crossbar,
     /// Binary hypercube (Hamming-distance hops).
     Hypercube,
-    /// 2D torus over the most-square factorization of the node count.
-    Torus2D,
     /// 3D torus over the most-cubic factorization of the node count.
     Torus3D,
-    /// Fat tree with the given leaf arity and per-level oversubscription.
-    FatTree {
-        /// Leaves per leaf switch (≥ 2).
-        arity: u16,
-        /// Bandwidth taper per level above the leaves (≥ 1).
-        oversub: u16,
-    },
+    /// Fat tree with 8-port leaf switches and a 2:1 taper per level.
+    FatTree,
 }
 
 impl TopologyKind {
-    /// A conventional oversubscribed cluster fat tree: 8-port leaf
-    /// switches, 2:1 taper per level.
-    pub fn fat_tree() -> Self {
-        TopologyKind::FatTree {
-            arity: 8,
-            oversub: 2,
-        }
-    }
-
     /// Stable label for reports and sweep JSON.
     pub fn label(&self) -> &'static str {
         match self {
             TopologyKind::Crossbar => "crossbar",
             TopologyKind::Hypercube => "hypercube",
-            TopologyKind::Torus2D => "torus2d",
             TopologyKind::Torus3D => "torus3d",
-            TopologyKind::FatTree { .. } => "fattree",
+            TopologyKind::FatTree => "fattree",
         }
     }
 
@@ -290,17 +264,8 @@ impl TopologyKind {
                 cluster_size,
             }),
             TopologyKind::Hypercube => AnyTopology::Hypercube(Hypercube { nodes }),
-            TopologyKind::Torus2D => AnyTopology::Torus(Torus::two_d(nodes)),
             TopologyKind::Torus3D => AnyTopology::Torus(Torus::three_d(nodes)),
-            TopologyKind::FatTree { arity, oversub } => {
-                assert!(arity >= 2, "fat tree needs arity >= 2");
-                assert!(oversub >= 1, "fat tree oversubscription must be >= 1");
-                AnyTopology::FatTree(FatTree {
-                    nodes,
-                    arity,
-                    oversub,
-                })
-            }
+            TopologyKind::FatTree => AnyTopology::FatTree(FatTree { nodes }),
         }
     }
 }
@@ -314,7 +279,7 @@ pub enum AnyTopology {
     Crossbar(HierCrossbar),
     /// Binary hypercube.
     Hypercube(Hypercube),
-    /// 2D/3D torus.
+    /// 3D torus.
     Torus(Torus),
     /// Fat tree.
     FatTree(FatTree),
@@ -462,11 +427,9 @@ mod tests {
 
     #[test]
     fn torus_factorizations_are_most_square() {
-        assert_eq!(Torus::two_d(20).dims, [5, 4, 1]);
-        assert_eq!(Torus::two_d(64).dims, [8, 8, 1]);
-        assert_eq!(Torus::two_d(1024).dims, [32, 32, 1]);
-        assert_eq!(Torus::two_d(7).dims, [7, 1, 1]); // prime → ring
         assert_eq!(Torus::three_d(64).dims, [4, 4, 4]);
+        assert_eq!(Torus::three_d(20).dims, [5, 2, 2]);
+        assert_eq!(Torus::three_d(7).dims, [7, 1, 1]); // prime → ring
         let d = Torus::three_d(1024).dims;
         assert_eq!(d[0] as u32 * d[1] as u32 * d[2] as u32, 1024);
         assert!(d.iter().all(|&x| x >= 8), "near-cubic split, got {d:?}");
@@ -474,40 +437,44 @@ mod tests {
 
     #[test]
     fn torus_hops_wrap_around() {
-        // 4×4 2D torus: 0 and 3 are one wraparound step apart in x.
-        let t = TopologyKind::Torus2D.build(16, 16);
+        // 4×4×4 3D torus: node i sits at (i % 4, i / 4 % 4, i / 16).
+        let t = TopologyKind::Torus3D.build(64, 16);
+        // 0 and 3 are one wraparound step apart in x, 12 in y, 48 in z.
         assert_eq!(t.hops(NodeId(0), NodeId(3)), 1);
+        assert_eq!(t.hops(NodeId(0), NodeId(12)), 1);
+        assert_eq!(t.hops(NodeId(0), NodeId(48)), 1);
         assert_eq!(t.hops(NodeId(0), NodeId(2)), 2);
-        // corner to center: 2 in x + 2 in y
+        // corner to center of a plane: 2 in x + 2 in y
         assert_eq!(t.hops(NodeId(0), NodeId(10)), 4);
+        // corner to center of the cube: 2 in each dimension
+        assert_eq!(t.hops(NodeId(0), NodeId(42)), 6);
         assert_eq!(t.contention(NodeId(0), NodeId(3)), 1, "one ring crossed");
         assert_eq!(t.contention(NodeId(0), NodeId(10)), 2, "two rings crossed");
+        assert_eq!(
+            t.contention(NodeId(0), NodeId(63)),
+            3,
+            "three rings crossed"
+        );
     }
 
     #[test]
     fn fat_tree_hops_and_oversubscription() {
-        let t = TopologyKind::FatTree {
-            arity: 4,
-            oversub: 2,
-        }
-        .build(64, 16);
+        // Arity 8 over 512 nodes: leaf switches span 8, level 2 spans
+        // 64, level 3 the whole machine.
+        let t = TopologyKind::FatTree.build(512, 16);
         assert_eq!(t.hops(NodeId(0), NodeId(0)), 0);
         // same leaf switch: up one, down one
-        assert_eq!(t.hops(NodeId(0), NodeId(3)), 2);
-        assert_eq!(t.contention(NodeId(0), NodeId(3)), 1);
+        assert_eq!(t.hops(NodeId(0), NodeId(7)), 2);
+        assert_eq!(t.contention(NodeId(0), NodeId(7)), 1);
         // adjacent pods: LCA at level 2
-        assert_eq!(t.hops(NodeId(0), NodeId(5)), 4);
-        assert_eq!(t.contention(NodeId(0), NodeId(5)), 2);
+        assert_eq!(t.hops(NodeId(0), NodeId(8)), 4);
+        assert_eq!(t.contention(NodeId(0), NodeId(8)), 2);
+        assert_eq!(t.hops(NodeId(0), NodeId(63)), 4);
         // across the whole machine: LCA at level 3
-        assert_eq!(t.hops(NodeId(0), NodeId(63)), 6);
-        assert_eq!(t.contention(NodeId(0), NodeId(63)), 4);
-        // a true fat tree is contention-free everywhere
-        let pure = TopologyKind::FatTree {
-            arity: 4,
-            oversub: 1,
-        }
-        .build(64, 16);
-        assert_eq!(pure.contention(NodeId(0), NodeId(63)), 1);
+        assert_eq!(t.hops(NodeId(0), NodeId(64)), 6);
+        assert_eq!(t.contention(NodeId(0), NodeId(64)), 4);
+        assert_eq!(t.hops(NodeId(0), NodeId(511)), 6);
+        assert_eq!(t.contention(NodeId(0), NodeId(511)), 4);
     }
 
     #[test]

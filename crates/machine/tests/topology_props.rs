@@ -3,19 +3,16 @@
 //! any relay), contention bounds, and crossbar/legacy agreement — all
 //! under generated machine shapes, for all four topology kinds.
 
-use earth_machine::{topology, NodeId, Topology, TopologyKind};
+use earth_machine::{topology, FatTree, NodeId, Topology, TopologyKind};
 use earth_testkit::prelude::*;
 
-/// The four kinds under test, with a generated fat-tree shape.
-fn kinds(arity: u16, oversub: u16) -> [TopologyKind; 5] {
-    [
-        TopologyKind::Crossbar,
-        TopologyKind::Hypercube,
-        TopologyKind::Torus2D,
-        TopologyKind::Torus3D,
-        TopologyKind::FatTree { arity, oversub },
-    ]
-}
+/// The four kinds under test.
+const KINDS: [TopologyKind; 4] = [
+    TopologyKind::Crossbar,
+    TopologyKind::Hypercube,
+    TopologyKind::Torus3D,
+    TopologyKind::FatTree,
+];
 
 props! {
     #![config(Config::with_cases(60))]
@@ -24,11 +21,9 @@ props! {
     fn hops_form_a_symmetric_premetric(
         nodes in 1u16..260,
         cluster in 1u16..33,
-        arity in 2u16..9,
-        oversub in 1u16..4,
         pairs in collection::vec((any::<u16>(), any::<u16>()), 1..40),
     ) {
-        for kind in kinds(arity, oversub) {
+        for kind in KINDS {
             let t = kind.build(nodes, cluster);
             prop_assert_eq!(t.nodes(), nodes);
             for &(a, b) in &pairs {
@@ -58,14 +53,12 @@ props! {
     fn relaying_never_beats_the_direct_route_by_construction(
         nodes in 1u16..200,
         cluster in 1u16..33,
-        arity in 2u16..9,
-        oversub in 1u16..4,
         triples in collection::vec((any::<u16>(), any::<u16>(), any::<u16>()), 1..30),
     ) {
         // Triangle-inequality-ish sanity: hops(a,c) <= hops(a,b) + hops(b,c)
         // for every relay b. Holds exactly for the graph metrics (hypercube,
         // torus) and for the hierarchy distances (crossbar, fat tree).
-        for kind in kinds(arity, oversub) {
+        for kind in KINDS {
             let t = kind.build(nodes, cluster);
             for &(a, b, c) in &triples {
                 let (a, b, c) = (NodeId(a % nodes), NodeId(b % nodes), NodeId(c % nodes));
@@ -97,8 +90,6 @@ props! {
     #[test]
     fn hop_counts_stay_logarithmic_or_grid_bounded(
         nodes in 2u16..1025,
-        arity in 2u16..9,
-        oversub in 1u16..4,
         pair in (any::<u16>(), any::<u16>()),
     ) {
         let (a, b) = (NodeId(pair.0 % nodes), NodeId(pair.1 % nodes));
@@ -106,22 +97,20 @@ props! {
         let hc = TopologyKind::Hypercube.build(nodes, 16);
         prop_assert!(hc.hops(a, b) <= 16);
         // Fat-tree routes climb at most to the root and back.
-        let ft = TopologyKind::FatTree { arity, oversub }.build(nodes, 16);
+        let ft = TopologyKind::FatTree.build(nodes, 16);
         let mut levels = 1u32;
-        let mut span = arity as u32;
+        let mut span = FatTree::ARITY as u32;
         while span < nodes as u32 {
-            span *= arity as u32;
+            span *= FatTree::ARITY as u32;
             levels += 1;
         }
         prop_assert!(ft.hops(a, b) <= 2 * levels, "fat tree over-climbs");
         // Torus routes never exceed half the extent per dimension, summed.
-        for kind in [TopologyKind::Torus2D, TopologyKind::Torus3D] {
-            let t = kind.build(nodes, 16);
-            prop_assert!(
-                t.hops(a, b) <= (nodes as u32 / 2).max(1) * 3,
-                "{:?}: route longer than wrapped grid allows", kind
-            );
-            prop_assert!(t.contention(a, b) <= 3, "≤ one shared stage per dim");
-        }
+        let t = TopologyKind::Torus3D.build(nodes, 16);
+        prop_assert!(
+            t.hops(a, b) <= (nodes as u32 / 2).max(1) * 3,
+            "route longer than wrapped grid allows"
+        );
+        prop_assert!(t.contention(a, b) <= 3, "≤ one shared stage per dim");
     }
 }

@@ -22,13 +22,13 @@
 //!   binary-insert here; because new events carry the largest sequence
 //!   number, they slot in right next to the tail for same-instant
 //!   bursts, so the common "wake myself at `now`" push is O(1).
-//! * **rung** — [`NUM_BUCKETS`] unsorted buckets spanning the window
+//! * **rung** — `NUM_BUCKETS` unsorted buckets spanning the window
 //!   `[win_lo, win_hi)`, each `bucket_w` ns wide. Near-future pushes
 //!   append to a bucket in O(1). When the bottom drains, the next
 //!   non-empty bucket is sorted once and *becomes* the bottom (a
 //!   `mem::swap`, reusing both allocations).
 //! * **top** — a `BinaryHeap` holding far-future events (`t >= win_hi`).
-//!   When bottom and rung are both empty, the next [`SPAN_TARGET`]
+//!   When bottom and rung are both empty, the next `SPAN_TARGET`
 //!   events (plus all ties with the last timestamp) are pulled out of
 //!   the heap to build a fresh window.
 //!

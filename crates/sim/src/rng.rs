@@ -162,13 +162,6 @@ impl Rng {
         }
     }
 
-    /// Bounded-Pareto draw in `[lo, hi]` with tail index `alpha` — the
-    /// stateful counterpart of [`bounded_pareto`].
-    #[inline]
-    pub fn gen_bounded_pareto(&mut self, alpha: f64, lo: f64, hi: f64) -> f64 {
-        bounded_pareto(self.gen_f64(), alpha, lo, hi)
-    }
-
     /// Pick a uniformly random element, or `None` for an empty slice.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
         if items.is_empty() {
@@ -334,17 +327,6 @@ mod tests {
             (mean - expect).abs() / expect < 0.05,
             "seeded mean {mean} far from analytic {expect}"
         );
-    }
-
-    #[test]
-    fn gen_bounded_pareto_matches_pure_form() {
-        let mut a = Rng::new(77);
-        let mut b = Rng::new(77);
-        for _ in 0..1000 {
-            let x = a.gen_bounded_pareto(1.2, 1.0, 50.0);
-            let y = bounded_pareto(b.gen_f64(), 1.2, 1.0, 50.0);
-            assert_eq!(x, y);
-        }
     }
 
     #[test]

@@ -49,23 +49,14 @@ impl Summary {
             stddev,
         }
     }
-
-    /// max/min ratio — the paper's "vary by a factor of up to 7" metric.
-    pub fn spread_factor(&self) -> f64 {
-        if self.min > 0.0 {
-            self.max / self.min
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 /// Nearest-rank percentile of an **ascending-sorted** sample: the smallest
 /// observation such that at least `p·n` observations are ≤ it. This is the
-/// single percentile definition shared by the testkit bench `Stats`
-/// (p50/p95/p99 of wall times) and the traffic plane's sojourn-time
-/// summaries, so the two never disagree on what "p99" means. Panics on an
-/// empty sample; `p` is clamped to `[0, 1]`.
+/// single percentile definition shared by the traffic plane's per-class
+/// summaries and the open-loop sweeps' sojourn digests, so the two never
+/// disagree on what "p99" means. Panics on an empty sample; `p` is
+/// clamped to `[0, 1]`.
 pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "nearest_rank on empty sample");
     let n = sorted.len();
@@ -82,17 +73,6 @@ impl fmt::Display for Summary {
             self.mean, self.min, self.max, self.stddev, self.n
         )
     }
-}
-
-/// Speedup of a baseline against a set of trials: `base / trial` for each
-/// trial, summarized. This is how every figure in the paper is computed:
-/// sequential virtual runtime over parallel virtual runtime.
-pub fn speedup_summary(sequential_ns: u64, parallel_ns: &[u64]) -> Summary {
-    let series: Vec<f64> = parallel_ns
-        .iter()
-        .map(|&p| sequential_ns as f64 / p as f64)
-        .collect();
-    Summary::of(&series)
 }
 
 /// A labelled cost breakdown: `(label, amount)` rows that are rendered
@@ -132,16 +112,6 @@ impl Breakdown {
     }
 }
 
-/// Render a fixed-width table row of `(label, cells)` for the repro
-/// harness's text output.
-pub fn table_row(label: &str, cells: &[String], width: usize) -> String {
-    let mut row = format!("{label:<18}");
-    for c in cells {
-        row.push_str(&format!("{c:>width$}"));
-    }
-    row
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,7 +125,6 @@ mod tests {
         assert_eq!(s.max, 4.0);
         // sample sd of 1..4 = sqrt(5/3)
         assert!((s.stddev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert!((s.spread_factor() - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -173,14 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn speedups() {
-        let s = speedup_summary(1000, &[500, 250, 1000]);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert!((s.mean - (2.0 + 4.0 + 1.0) / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn nearest_rank_basics() {
         let s: Vec<f64> = (1..=100).map(|i| i as f64).collect();
         assert_eq!(nearest_rank(&s, 0.50), 50.0);
@@ -188,6 +149,12 @@ mod tests {
         assert_eq!(nearest_rank(&s, 0.99), 99.0);
         assert_eq!(nearest_rank(&s, 0.0), 1.0);
         assert_eq!(nearest_rank(&s, 1.0), 100.0);
+        // n = 2: rank ceil(0.5 * 2) = 1 is the smaller sample;
+        // ceil(0.95 * 2) = ceil(0.99 * 2) = 2 the larger.
+        let two = [10.0, 20.0];
+        assert_eq!(nearest_rank(&two, 0.50), 10.0);
+        assert_eq!(nearest_rank(&two, 0.95), 20.0);
+        assert_eq!(nearest_rank(&two, 0.99), 20.0);
     }
 
     #[test]
@@ -215,13 +182,6 @@ mod tests {
     #[should_panic(expected = "empty sample")]
     fn nearest_rank_empty_panics() {
         let _ = nearest_rank(&[], 0.5);
-    }
-
-    #[test]
-    fn row_formatting() {
-        let r = table_row("lazard", &["1.00".into(), "1.98".into()], 8);
-        assert!(r.starts_with("lazard"));
-        assert!(r.ends_with("    1.98"));
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl VirtualTime {
         VirtualDuration(self.0 - earlier.0)
     }
 
-    /// Saturating difference; zero if `earlier` is later.
-    pub fn saturating_since(self, earlier: VirtualTime) -> VirtualDuration {
-        VirtualDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// The later of two instants.
     pub fn max_of(self, other: VirtualTime) -> VirtualTime {
         if self.0 >= other.0 {
@@ -274,7 +269,6 @@ mod tests {
         assert_eq!(t.as_us(), 5);
         let u = t + VirtualDuration::from_us(7);
         assert_eq!(u.since(t), VirtualDuration::from_us(7));
-        assert_eq!(t.saturating_since(u), VirtualDuration::ZERO);
         assert_eq!(t.max_of(u), u);
         assert_eq!(u.max_of(t), u);
     }

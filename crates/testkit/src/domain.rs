@@ -17,16 +17,6 @@ pub fn monomial(nvars: usize, max_exp: u16) -> impl Strategy<Value = Monomial> {
     collection::vec(0..max_exp + 1, nvars).prop_map(|exps| Monomial::from_exps(&exps))
 }
 
-/// A (possibly zero) element of GF(32003).
-pub fn gf() -> impl Strategy<Value = Gf> {
-    (0u32..32003).prop_map(Gf::new)
-}
-
-/// A nonzero element of GF(32003) — a valid term coefficient.
-pub fn gf_nonzero() -> impl Strategy<Value = Gf> {
-    (1u32..32003).prop_map(Gf::new)
-}
-
 /// A normalized polynomial in `ring` with up to `max_terms` raw terms
 /// (like terms combine, so the result can be shorter, down to zero)
 /// and exponents in `[0, max_exp]`.

@@ -1,12 +1,12 @@
 //! # earth-testkit
 //!
-//! The workspace's self-contained property-testing and micro-benchmark
-//! substrate. The seed workspace pulled `proptest`, `criterion`,
-//! `rand`, `crossbeam`, `parking_lot` and `serde` from crates.io; this
-//! crate replaces all of them with ~1k lines over `earth-sim`'s
-//! deterministic SplitMix64/xoshiro256** PRNG so that
-//! `cargo build && cargo test && cargo bench` succeed with zero network
-//! access and bit-identical behaviour per seed (DESIGN.md §5).
+//! The workspace's self-contained property-testing substrate. The seed
+//! workspace pulled `proptest`, `criterion`, `rand`, `crossbeam`,
+//! `parking_lot` and `serde` from crates.io, and none of them remains.
+//! This crate stands in for `proptest`, drawing from `earth-sim`'s
+//! deterministic SplitMix64/xoshiro256** PRNG, so that
+//! `cargo build && cargo test` succeed with zero network access and
+//! bit-identical behaviour per seed (DESIGN.md §5).
 //!
 //! ## Property tests
 //!
@@ -32,24 +32,7 @@
 //! mutates the word stream and replays it, needing no per-type
 //! shrinking rules — and every failure prints a `TESTKIT_SEED` that
 //! reproduces it exactly.
-//!
-//! ## Benchmarks
-//!
-//! [`bench`] is a warmup/sample runner for `harness = false` bench
-//! targets (earth-bench's runtime-primitives micro-benchmark); a
-//! `--smoke` argument runs each benchmark once.
-//!
-//! ```no_run
-//! use earth_testkit::bench::Bench;
-//!
-//! fn bench_something(c: &mut Bench) {
-//!     let mut g = c.benchmark_group("group");
-//!     g.bench_function("case", |b| b.iter(|| 2 + 2));
-//! }
-//! earth_testkit::bench_main!(bench_something);
-//! ```
 
-pub mod bench;
 pub mod domain;
 pub mod runner;
 pub mod source;
@@ -180,19 +163,5 @@ macro_rules! prop_oneof {
         $crate::strategy::OneOf::new(::std::vec![
             $($crate::strategy::boxed($arm)),+
         ])
-    };
-}
-
-/// Generate `main` for a `harness = false` bench target: builds a
-/// [`bench::Bench`] from the environment and runs each bench function
-/// (`criterion_group!`/`criterion_main!` shape, collapsed into one
-/// macro).
-#[macro_export]
-macro_rules! bench_main {
-    ($($f:path),+ $(,)?) => {
-        fn main() {
-            let mut __bench = $crate::bench::Bench::from_env();
-            $( $f(&mut __bench); )+
-        }
     };
 }

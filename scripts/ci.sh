@@ -35,15 +35,14 @@ cargo run --release --offline --example chaos_smoke >/dev/null
 echo "== format =="
 cargo fmt --check
 
-echo "== host clock (read only by the testkit bench runner; simulated time stays deterministic) =="
-if grep -rnE 'Instant::now|SystemTime|std::time' crates src tests examples |
-    grep -v '^crates/testkit/src/bench\.rs:'; then
-    echo "host clock read outside crates/testkit/src/bench.rs"
+echo "== rustdoc (deny warnings: no broken or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
+echo "== host clock (read only by perfbench; simulated time stays deterministic) =="
+if grep -rnE 'Instant::now|SystemTime|std::time' crates src tests examples; then
+    echo "host clock read outside perfbench/"
     exit 1
 fi
-
-echo "== primitives bench smoke (1 iteration per benchmark) =="
-cargo bench --offline -p earth-bench --bench primitives -- --smoke >/dev/null
 
 echo "== benchmark self-test (Groebner, eigen and NN output checks end to end) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
